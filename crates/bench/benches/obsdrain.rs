@@ -151,8 +151,12 @@ fn bench_obsdrain(c: &mut Criterion) {
         summary.disabled_ns_per_op
     );
     let json = serde_json::to_string_pretty(&summary).expect("render summary");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obsdrain.json");
-    std::fs::write(path, &json).expect("write summary artifact");
+    // Fresh numbers go under target/bench/; the checked-in
+    // BENCH_obsdrain.json is the baseline they are read against.
+    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench");
+    std::fs::create_dir_all(out_dir).expect("create target/bench");
+    let path = format!("{out_dir}/BENCH_obsdrain.json");
+    std::fs::write(&path, &json).expect("write summary artifact");
     println!("\nobs drain summary ({path}):\n{json}");
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -440,8 +440,8 @@ mod tests {
     use super::*;
 
     // The registry is process-global; tests that install plans must
-    // not interleave.
-    static LOCK: Mutex<()> = Mutex::new(());
+    // not interleave, including the `sealed` module's.
+    pub(crate) static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn parse_forms() {

@@ -83,14 +83,12 @@ mod tests {
     use super::*;
     use crate::{accounting, disable, install, FaultPlan};
     use std::collections::BTreeMap;
-    use std::sync::Mutex;
 
-    // The registry is process-global; tests that install plans must
-    // not interleave (same discipline as the lib tests).
-    static LOCK: Mutex<()> = Mutex::new(());
-
+    // The registry is process-global; these tests share the lib
+    // tests' lock so no two plans interleave.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock()
+        crate::tests::LOCK
+            .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 

@@ -1,27 +1,29 @@
 //! The Unix-socket daemon loop and the one-shot client.
 //!
-//! `serve` binds the socket, accepts connections on a nonblocking
-//! listener, and hands each connection to a thread that reads one
-//! framed [`Request`], runs it through the shared [`SessionEngine`],
-//! and streams the framed responses back. SIGTERM/SIGINT flip a
-//! drain flag: the accept loop stops, in-flight sessions finish and
-//! deliver, and the socket is removed. A SIGKILL skips all of that —
-//! which is exactly what the session journal plus `--resume` is for.
+//! `serve` binds the socket and blocks in `poll(2)` on two fds: the
+//! listener and a process-wide wake socket. A readable listener means
+//! a connection is pending; it is accepted and handed to a thread that
+//! reads one framed [`Request`], runs it through the shared
+//! [`SessionEngine`], and writes the framed responses back in one
+//! write. SIGTERM/SIGINT (and [`request_drain`]) set a drain flag and
+//! write one byte to the wake socket, so a daemon idle in `poll`
+//! wakes at once: the accept loop stops, in-flight sessions finish
+//! and deliver, and the socket is removed. A SIGKILL skips all of
+//! that — which is exactly what the session journal plus `--resume`
+//! is for.
 
-use std::io::Write as _;
+use std::io::{BufReader, Read as _, Write as _};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use crate::session::{ServeConfig, SessionEngine};
 use crate::wire::{self, Request, Response};
 use crate::{io_err, ServeError};
-
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Per-connection read timeout: a client that connects and then
 /// never sends a frame cannot pin a worker thread past the drain.
@@ -32,28 +34,116 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// next.
 static DRAIN: AtomicBool = AtomicBool::new(false);
 
-extern "C" fn on_signal(_signum: i32) {
+/// The wake socket pair: a drain writes one byte to `.1`, and the
+/// accept loop polls `.0`. Both ends are nonblocking and live for
+/// the whole process, like [`DRAIN`].
+static WAKE: OnceLock<(UnixStream, UnixStream)> = OnceLock::new();
+
+/// Raw fd of the wake pair's write end, for the signal handler
+/// (`-1` until the first `serve`).
+static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+/// `POLLIN` from `<poll.h>`.
+const POLLIN: i16 = 1;
+
+/// `nfds_t` from `<poll.h>`.
+#[cfg(target_os = "linux")]
+type Nfds = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type Nfds = std::ffi::c_uint;
+
+// Raw libc keeps the crate dependency-free.
+type SigHandler = extern "C" fn(i32);
+extern "C" {
+    fn signal(signum: i32, handler: SigHandler) -> usize;
+    fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
+}
+
+/// Ask a running in-process daemon to drain (the test equivalent of
+/// `kill -TERM`): set the drain flag, then wake the accept loop. Only
+/// an atomic store and `write(2)` on a nonblocking fd, both
+/// async-signal-safe, so the signal handler calls this too. A full
+/// wake buffer drops the byte, which is fine: the fd is already
+/// readable.
+pub fn request_drain() {
     DRAIN.store(true, Ordering::SeqCst);
+    let fd = WAKE_FD.load(Ordering::SeqCst);
+    if fd >= 0 {
+        // SAFETY: `fd` is the write end of `WAKE`, which is never
+        // closed, and the buffer is one valid byte.
+        unsafe {
+            write(fd, [1u8].as_ptr(), 1);
+        }
+    }
+}
+
+extern "C" fn on_signal(_signum: i32) {
+    request_drain();
 }
 
 fn install_signal_handlers() {
-    // SIGTERM = 15, SIGINT = 2. Raw libc `signal` keeps the crate
-    // dependency-free; the handler only stores one atomic flag,
-    // which is async-signal-safe.
-    type SigHandler = extern "C" fn(i32);
-    extern "C" {
-        fn signal(signum: i32, handler: SigHandler) -> usize;
-    }
+    // SIGTERM = 15, SIGINT = 2.
+    // SAFETY: `on_signal` only touches atomics and calls `write(2)`.
     unsafe {
         signal(15, on_signal);
         signal(2, on_signal);
     }
 }
 
-/// Ask a running in-process daemon to drain (the test equivalent of
-/// `kill -TERM`).
-pub fn request_drain() {
-    DRAIN.store(true, Ordering::SeqCst);
+/// The process-wide wake pair, created on first use.
+fn wake_pair() -> Result<&'static (UnixStream, UnixStream), ServeError> {
+    if let Some(pair) = WAKE.get() {
+        return Ok(pair);
+    }
+    let (rx, tx) = UnixStream::pair().map_err(|e| io_err("creating the wake socket", e))?;
+    for end in [&rx, &tx] {
+        end.set_nonblocking(true)
+            .map_err(|e| io_err("setting the wake socket nonblocking", e))?;
+    }
+    // A racing `serve` may have won; its pair is then the one used.
+    let pair = WAKE.get_or_init(|| (rx, tx));
+    WAKE_FD.store(pair.1.as_raw_fd(), Ordering::SeqCst);
+    Ok(pair)
+}
+
+/// Read every pending wake byte, so a drain that ended an earlier
+/// daemon neither stops this one nor leaves its fd readable forever.
+fn empty_wake(mut rx: &UnixStream) {
+    let mut buf = [0u8; 64];
+    while matches!(rx.read(&mut buf), Ok(n) if n > 0) {}
+}
+
+/// Block until the listener or the wake fd is readable. Returns
+/// whether the listener is.
+fn wait_readable(listener: &UnixListener, wake: &UnixStream) -> std::io::Result<bool> {
+    let mut fds = [
+        PollFd {
+            fd: listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        },
+        PollFd {
+            fd: wake.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        },
+    ];
+    // SAFETY: `fds` is a live array of two `pollfd`s for its whole
+    // call, and both fds stay open (borrowed for this call).
+    let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, -1) };
+    if ready < 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    Ok(fds[0].revents != 0)
 }
 
 /// Probe an existing socket file: connect to tell a live daemon from
@@ -106,15 +196,39 @@ pub fn serve(config: ServeConfig) -> Result<(), ServeError> {
 
     let listener = UnixListener::bind(&socket)
         .map_err(|e| io_err(format!("binding {}", socket.display()), e))?;
+    // Nonblocking: `poll` can report a connection that is gone again
+    // by the time `accept` runs.
     listener
         .set_nonblocking(true)
         .map_err(|e| io_err("setting the listener nonblocking", e))?;
+    let (wake_rx, _) = wake_pair()?;
     install_signal_handlers();
+    // Reset the flag before emptying the wake fd: a drain landing in
+    // between leaves the flag set, and the loop checks it first.
     DRAIN.store(false, Ordering::SeqCst);
+    empty_wake(wake_rx);
     eprintln!("serve: listening on {}", socket.display());
 
     let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let fail = |e: std::io::Error, what: &str| -> Result<(), ServeError> {
+        let _ = std::fs::remove_file(&socket);
+        Err(io_err(what, e))
+    };
     while !DRAIN.load(Ordering::SeqCst) {
+        match wait_readable(&listener, wake_rx) {
+            Ok(true) => {}
+            // The wake fd alone: a drain (the loop condition sees it;
+            // the byte stays, so every daemon in this process wakes)
+            // or a stray byte, which is consumed.
+            Ok(false) => {
+                if !DRAIN.load(Ordering::SeqCst) {
+                    empty_wake(wake_rx);
+                }
+                continue;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return fail(e, "waiting for a connection"),
+        }
         match listener.accept() {
             Ok((stream, _addr)) => {
                 let engine = engine.clone();
@@ -123,14 +237,12 @@ pub fn serve(config: ServeConfig) -> Result<(), ServeError> {
                 }));
                 workers.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                let _ = std::fs::remove_file(&socket);
-                return Err(io_err("accepting a connection", e));
-            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return fail(e, "accepting a connection"),
         }
     }
 
@@ -145,7 +257,7 @@ pub fn serve(config: ServeConfig) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// One connection: read one request, serve it, stream the response.
+/// One connection: read one request, serve it, write the response.
 /// Panics are contained here as a last resort — the engine already
 /// isolates session panics, so anything reaching this guard is a
 /// wire-layer bug, and it still must not take the daemon down.
@@ -205,8 +317,9 @@ pub fn request_once(socket: &Path, request: &Request) -> Result<Vec<Response>, S
     wire::write_message(&mut stream, request)?;
     let _ = stream.shutdown(std::net::Shutdown::Write);
 
+    let mut reader = BufReader::new(stream);
     let mut responses = Vec::new();
-    while let Some(response) = wire::read_message::<_, Response>(&mut stream)? {
+    while let Some(response) = wire::read_message::<_, Response>(&mut reader)? {
         let terminal = matches!(response, Response::Done | Response::Err { .. });
         responses.push(response);
         if terminal {

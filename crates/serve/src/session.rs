@@ -552,10 +552,11 @@ impl SessionEngine {
         result
     }
 
-    /// Stream a terminal result's frames to `w`. Returns `Ok(false)`
-    /// when the `serve.conn_drop` fault abandoned delivery mid-stream
-    /// — the result stays journaled and cached, so nothing but this
-    /// one delivery is lost.
+    /// Write a terminal result's frames to `w` in one write and one
+    /// flush. Returns `Ok(false)` when the `serve.conn_drop` fault
+    /// abandoned delivery mid-stream: only the frames before the drop
+    /// are written, and the result stays journaled and cached, so
+    /// nothing but this one delivery is lost.
     pub fn deliver<W: Write>(
         &self,
         key: &str,
@@ -563,6 +564,8 @@ impl SessionEngine {
         w: &mut W,
     ) -> Result<bool, wire::WireError> {
         let ident = gtpin_faults::hash_str(key);
+        let mut frames = Vec::new();
+        let mut complete = true;
         for response in result.responses() {
             if gtpin_faults::enabled() {
                 // Each frame of each delivery attempt gets an
@@ -574,12 +577,15 @@ impl SessionEngine {
                 ) {
                     gtpin_faults::note("recovered.serve_conn_drop", 1);
                     gtpin_obs::counter_add("serve.conn_dropped", 1);
-                    return Ok(false);
+                    complete = false;
+                    break;
                 }
             }
-            wire::write_message(w, &response)?;
+            frames.extend_from_slice(&wire::encode_message(&response)?);
         }
-        Ok(true)
+        w.write_all(&frames)?;
+        w.flush()?;
+        Ok(complete)
     }
 
     /// Feed one journaled terminal result back through the
@@ -1442,5 +1448,128 @@ mod tests {
         assert!(acc["injected.cache.corrupt"] >= 1, "{acc:?}");
         assert!(acc["healed.serve.profile"] >= 1, "{acc:?}");
         assert!(acc["recovered.cache_heal"] >= 1, "{acc:?}");
+    }
+
+    /// A `Done` report of `lines` distinct lines.
+    fn report_of(lines: usize) -> SessionResult {
+        SessionResult::Done {
+            report: (0..lines).map(|i| format!("line {i}: \"q\"\n")).collect(),
+            virtual_ns: 1,
+        }
+    }
+
+    /// Counts the `write` and `flush` calls a delivery makes.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+        flushes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    /// The reference delivery: one `write_message` per frame, with the
+    /// same `serve.conn_drop` decisions `deliver` makes.
+    fn deliver_per_frame(
+        key: &str,
+        result: &SessionResult,
+        w: &mut Vec<u8>,
+    ) -> Result<bool, wire::WireError> {
+        let ident = gtpin_faults::hash_str(key);
+        for response in result.responses() {
+            if gtpin_faults::enabled() {
+                let occ = gtpin_faults::occurrence(site::SERVE_CONN_DROP, ident);
+                if gtpin_faults::should_inject(
+                    site::SERVE_CONN_DROP,
+                    ident.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(occ),
+                ) {
+                    gtpin_faults::note("recovered.serve_conn_drop", 1);
+                    return Ok(false);
+                }
+            }
+            wire::write_message(w, &response)?;
+        }
+        Ok(true)
+    }
+
+    #[test]
+    fn deliver_writes_every_frame_in_one_write() {
+        let _g = FAULTS_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        gtpin_faults::disable();
+        let e = engine(ServeConfig::default());
+        let failed = SessionResult::Failed {
+            kind: "busy".to_string(),
+            message: "shed".to_string(),
+            virtual_ns: 0,
+        };
+        for result in [report_of(0), report_of(1), report_of(3000), failed] {
+            let mut want = Vec::new();
+            assert!(matches!(
+                deliver_per_frame("k", &result, &mut want),
+                Ok(true)
+            ));
+            let mut sink = CountingSink::default();
+            assert!(matches!(e.deliver("k", &result, &mut sink), Ok(true)));
+            assert!(sink.bytes == want, "delivered bytes differ for {result:?}");
+            assert_eq!((sink.writes, sink.flushes), (1, 1));
+        }
+    }
+
+    #[test]
+    fn conn_drop_cuts_delivery_where_the_per_frame_loop_did() {
+        use gtpin_faults::FaultPlan;
+
+        let _g = FAULTS_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let e = engine(ServeConfig::default());
+        let result = report_of(400);
+        let keys: Vec<String> = (0..8).map(|i| format!("lint/app-{i}")).collect();
+        // Every key is delivered three times, so occurrence numbers
+        // advance exactly as they do across repeated requests.
+        let run = |batched: bool| {
+            gtpin_faults::install(FaultPlan::single(site::SERVE_CONN_DROP, 0.002, 7));
+            let mut outcomes = Vec::new();
+            for key in keys.iter().chain(&keys).chain(&keys) {
+                let mut sink = Vec::new();
+                let complete = if batched {
+                    e.deliver(key, &result, &mut sink)
+                } else {
+                    deliver_per_frame(key, &result, &mut sink)
+                };
+                outcomes.push((complete.ok(), sink));
+            }
+            let acc = gtpin_faults::take_accounting();
+            gtpin_faults::disable();
+            (outcomes, acc)
+        };
+        let (batched, batched_acc) = run(true);
+        let (per_frame, per_frame_acc) = run(false);
+        assert!(batched == per_frame, "written prefixes differ");
+        assert_eq!(batched_acc, per_frame_acc);
+        let dropped = batched
+            .iter()
+            .filter(|(complete, _)| *complete == Some(false))
+            .count();
+        assert!(dropped > 0 && dropped < batched.len(), "{dropped} dropped");
+        assert!(
+            batched
+                .iter()
+                .any(|(complete, w)| *complete == Some(false) && !w.is_empty()),
+            "some drop lands mid-stream"
+        );
     }
 }

@@ -136,19 +136,25 @@ impl std::error::Error for Error {}
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Copy each run of bytes that need no escape in one push; every
+    // byte that does is ASCII, so run boundaries are char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => out.push_str(&format!("\\u{b:04x}")),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -407,12 +413,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run up to the next quote or escape,
+                    // validating it once.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| Error::msg("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -468,4 +477,62 @@ pub fn parse(s: &str) -> Result<Value, Error> {
         return Err(Error::msg("trailing characters after JSON value"));
     }
     Ok(v)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn round_trip(s: &str) -> String {
+        let mut rendered = String::new();
+        write_escaped(&mut rendered, s);
+        match parse(&rendered) {
+            Ok(Value::Str(back)) => back,
+            other => panic!("{rendered:?} parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn strings_round_trip_escapes_and_utf8() {
+        for s in [
+            "",
+            "plain",
+            "q\"b\\s/n\nr\rt\t",
+            "\u{1}\u{1f} \u{7f}",
+            "héllo ✓ 𝄞 end",
+            "\\\\\"\"",
+        ] {
+            assert_eq!(round_trip(s), s);
+        }
+        let mut out = String::new();
+        write_escaped(&mut out, "a\"\\\n\r\t\u{1}é");
+        assert_eq!(out, "\"a\\\"\\\\\\n\\r\\t\\u0001é\"");
+        assert_eq!(
+            parse(r#""\u00e9\u0041\/\b\f✓""#).expect("parses"),
+            Value::Str("éA/\u{8}\u{c}✓".to_string())
+        );
+    }
+
+    #[test]
+    fn megabyte_string_round_trips_in_linear_time() {
+        let s = "lint line ✓ \"quoted\" \\ tab\t\n".repeat(40_000);
+        assert!(s.len() > 1_000_000);
+        let start = std::time::Instant::now();
+        assert!(round_trip(&s) == s);
+        let took = start.elapsed();
+        assert!(took.as_secs_f64() < 2.0, "1 MB string took {took:?}");
+    }
+
+    #[test]
+    fn bad_strings_are_rejected() {
+        for doc in ["\"abc", "\"abc\\", "\"\\x\"", "\"\\u12\"", "\"\\ud800\""] {
+            assert!(parse(doc).is_err(), "{doc:?} must not parse");
+        }
+        // `parse` takes `&str`; invalid UTF-8 reaches the parser only
+        // through its bytes.
+        for bytes in [&b"\"a\xff\""[..], b"\"\xe2\x9c\"", b"\"ok\\n\xc3\""] {
+            let mut p = Parser { bytes, pos: 0 };
+            assert!(p.string().is_err(), "{bytes:?} must not parse");
+        }
+    }
 }
