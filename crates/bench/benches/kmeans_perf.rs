@@ -28,7 +28,27 @@ fn bench_kmeans(c: &mut Criterion) {
             b.iter(|| select(&vectors, &weights, &SimpointConfig::default()).expect("selects"))
         });
     }
+    // The aes128 single-kernel shape: 112 intervals but only 3
+    // distinct phases, so every k above 3 reseeds empty clusters each
+    // iteration and the Lloyd loop cycles until the cycle skip ends it.
+    let (vectors, weights) = duplicated_vectors(112, 3);
+    group.bench_function("duplicated_112x3", |b| {
+        b.iter(|| select(&vectors, &weights, &SimpointConfig::default()).expect("selects"))
+    });
     group.finish();
+}
+
+/// `n` intervals that are exact copies of `phases` distinct feature
+/// vectors, with distinct weights.
+fn duplicated_vectors(n: usize, phases: usize) -> (Vec<FeatureVector>, Vec<u64>) {
+    let vectors = (0..n)
+        .map(|i| {
+            let p = (i % phases) as u64;
+            (0..8u64).map(|j| (p * 1000 + j, 1.0 + j as f64)).collect()
+        })
+        .collect();
+    let weights = (0..n as u64).map(|i| 20_000 + (i % 17) * 311).collect();
+    (vectors, weights)
 }
 
 criterion_group!(benches, bench_kmeans);

@@ -135,9 +135,9 @@ fn bench_simspeed(c: &mut Criterion) {
     }
     group.finish();
 
-    // Sharded-simulator summary artifact (`BENCH_simspeed.json` at the
-    // repo root): serial vs sharded cycles/sec at 1/2/4/8 workers,
-    // plus the bit-identity verdict the speedups are conditional on.
+    // Sharded-simulator summary artifact: serial vs sharded cycles/sec
+    // at 1/2/4/8 workers, plus the bit-identity verdict the speedups
+    // are conditional on.
     let serial = simulate_sharded(&k, 1);
     let mut identical = true;
     let points: Vec<ShardPoint> = SHARD_WORKERS
@@ -176,8 +176,12 @@ fn bench_simspeed(c: &mut Criterion) {
         "sharded detailed simulation diverged from serial"
     );
     let json = serde_json::to_string_pretty(&summary).expect("render summary");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simspeed.json");
-    std::fs::write(path, &json).expect("write summary artifact");
+    // Fresh numbers go under target/bench/; the checked-in
+    // BENCH_simspeed.json is the baseline they are read against.
+    let out_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench");
+    std::fs::create_dir_all(out_dir).expect("create target/bench");
+    let path = format!("{out_dir}/BENCH_simspeed.json");
+    std::fs::write(&path, &json).expect("write summary artifact");
     println!("\nsharded simspeed summary ({path}):\n{json}");
 
     // Report the measured ratio once.

@@ -11,9 +11,15 @@ use crate::kmeans::KmeansResult;
 /// Moore's X-means formulation, which SimPoint adopts): higher is
 /// better; more clusters improve fit but pay a parameter penalty.
 pub fn bic_score(points: &[Vec<f64>], weights: &[f64], result: &KmeansResult) -> f64 {
+    bic_score_dims(points.first().map_or(0, Vec::len), weights, result)
+}
+
+/// [`bic_score`] given the points' dimensionality, the only thing it
+/// reads from them.
+pub(crate) fn bic_score_dims(dims: usize, weights: &[f64], result: &KmeansResult) -> f64 {
     let n: f64 = weights.iter().sum();
     let k = result.k() as f64;
-    let dims = points.first().map(|p| p.len()).unwrap_or(0) as f64;
+    let dims = dims as f64;
     if n <= k {
         return f64::NEG_INFINITY;
     }

@@ -42,7 +42,7 @@ pub mod simpoint;
 pub mod vector;
 
 pub use kmeans::{kmeans, kmeans_with_threads, KmeansResult, PAR_MIN_POINTS};
-pub use project::{project, project_all, DEFAULT_DIMS};
+pub use project::{project, DEFAULT_DIMS};
 pub use simpoint::{
     select, select_filtered, select_filtered_with_threads, select_with_threads, SelectError,
     Selection, SimpointConfig, SimpointPick, QUARANTINED,

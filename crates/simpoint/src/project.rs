@@ -13,19 +13,34 @@ pub const DEFAULT_DIMS: usize = 15;
 /// Project one sparse vector to `dims` dense dimensions under `seed`.
 pub fn project(v: &FeatureVector, dims: usize, seed: u64) -> Vec<f64> {
     let mut out = vec![0.0; dims];
+    project_into(v, 1.0, seed, &mut out);
+    out
+}
+
+/// Project each vector after L1-normalizing it (as
+/// [`FeatureVector::normalize`] would), flat and row-major: vector
+/// `i` lands in `[i * dims, (i + 1) * dims)`. Normalization happens
+/// on the fly, as `(value / mass) * sign`, so no vector is cloned.
+pub(crate) fn project_normalized(vectors: &[FeatureVector], dims: usize, seed: u64) -> Vec<f64> {
+    let mut out = vec![0.0; vectors.len() * dims];
+    for (v, row) in vectors.iter().zip(out.chunks_exact_mut(dims.max(1))) {
+        let mass = v.l1();
+        project_into(v, if mass > 0.0 { mass } else { 1.0 }, seed, row);
+    }
+    out
+}
+
+/// Accumulate the projection of `v / mass` into `out`. Dividing by
+/// 1.0 is exact, so `mass = 1.0` projects `v` unchanged.
+fn project_into(v: &FeatureVector, mass: f64, seed: u64, out: &mut [f64]) {
     for (key, value) in v.iter() {
+        let value = value / mass;
         for (d, slot) in out.iter_mut().enumerate() {
             let h = mix(seed ^ key, d as u64);
             let sign = if h & 1 == 0 { 1.0 } else { -1.0 };
             *slot += value * sign;
         }
     }
-    out
-}
-
-/// Project a batch of vectors.
-pub fn project_all(vectors: &[FeatureVector], dims: usize, seed: u64) -> Vec<Vec<f64>> {
-    vectors.iter().map(|v| project(v, dims, seed)).collect()
 }
 
 /// Squared Euclidean distance between dense points.

@@ -5,8 +5,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::bic::bic_score;
-use crate::project::{project_all, DEFAULT_DIMS};
+use crate::bic::bic_score_dims;
+use crate::kmeans::row;
+use crate::project::{distance2, project_normalized, DEFAULT_DIMS};
 use crate::vector::FeatureVector;
 
 /// SimPoint configuration.
@@ -175,12 +176,10 @@ pub fn select_with_threads(
     }
 
     // Normalize per-vector so interval length does not dominate the
-    // geometry; length re-enters through the clustering weights.
-    let mut normalized: Vec<FeatureVector> = vectors.to_vec();
-    for v in &mut normalized {
-        v.normalize();
-    }
-    let points = project_all(&normalized, config.dims, config.seed);
+    // geometry; length re-enters through the clustering weights. The
+    // flat point matrix is built once and shared by every k run.
+    let dims = config.dims;
+    let points = project_normalized(vectors, dims, config.seed);
     let w: Vec<f64> = weights.iter().map(|&x| x as f64).collect();
 
     // Sweep k, score with BIC, keep the smallest k clearing the
@@ -188,32 +187,40 @@ pub fn select_with_threads(
     // budget on concurrent k runs; large ones keep the sweep serial
     // and chunk each run's assignment step instead (nesting both
     // would oversubscribe).
-    let max_k = config.max_k.min(points.len()).max(1);
-    let (sweep_threads, lloyd_threads) = if points.len() >= crate::kmeans::PAR_MIN_POINTS {
+    let max_k = config.max_k.min(vectors.len()).max(1);
+    let (sweep_threads, lloyd_threads) = if vectors.len() >= crate::kmeans::PAR_MIN_POINTS {
         (1, threads)
     } else {
         (threads, 1)
     };
     let sweep_ns = gtpin_obs::now_ns();
-    let runs: Vec<(crate::kmeans::KmeansResult, f64)> =
+    let runs: Vec<(crate::kmeans::Run, f64)> =
         gtpin_par::parallel_indexed(max_k, sweep_threads, |i| {
             let k = i + 1;
-            let r = crate::kmeans::kmeans_with_threads(
+            let run = crate::kmeans::lloyd(
                 &points,
+                dims,
                 &w,
                 k,
                 config.seed ^ (k as u64) << 32,
                 config.max_iters,
                 lloyd_threads,
             );
-            let bic = bic_score(&points, &w, &r);
-            (r, bic)
+            let bic = bic_score_dims(dims, &w, &run.result);
+            (run, bic)
         });
     if obs_span.active() {
         obs_span.arg_u64("max_k", max_k as u64);
         gtpin_obs::hist_ns(
             "simpoint.bic_sweep_ns",
             gtpin_obs::now_ns().saturating_sub(sweep_ns),
+        );
+        let iters = runs.iter().map(|(r, _)| r.iters).sum();
+        obs_span.arg_u64("lloyd_iters", iters);
+        gtpin_obs::counter_add("simpoint.lloyd_iters", iters);
+        gtpin_obs::counter_add(
+            "simpoint.lloyd_skipped",
+            runs.iter().map(|(r, _)| r.skipped).sum(),
         );
     }
     // SimPoint 3.0's rule: normalize BIC scores to [min, max] across
@@ -230,10 +237,12 @@ pub fn select_with_threads(
     // Clamp to best_bic: `min + 1.0·span` can exceed the max by an
     // ulp, and when every BIC is non-finite any run qualifies.
     let threshold = (min_bic + config.bic_fraction * span).min(best_bic);
-    let (result, _) = runs
+    let result = runs
         .into_iter()
         .find(|(_, b)| *b >= threshold || !threshold.is_finite())
-        .ok_or(SelectError::NoViableClustering)?;
+        .ok_or(SelectError::NoViableClustering)?
+        .0
+        .result;
 
     // Representatives: the member closest to each centroid; ratios:
     // cluster weight share.
@@ -245,8 +254,8 @@ pub fn select_with_threads(
         // distance degenerates to NaN (NaN orders last, so a finite
         // member still wins).
         let Some(rep) = members.iter().copied().min_by(|&a, &b| {
-            let da = crate::project::distance2(&points[a], &result.centroids[c]);
-            let db = crate::project::distance2(&points[b], &result.centroids[c]);
+            let da = distance2(row(&points, dims, a), &result.centroids[c]);
+            let db = distance2(row(&points, dims, b), &result.centroids[c]);
             da.total_cmp(&db)
         }) else {
             continue;

@@ -20,10 +20,12 @@ cargo test --workspace -q
 
 echo "== determinism properties at GTPIN_THREADS=1"
 GTPIN_THREADS=1 cargo test -q -p simpoint --test prop_parallel
+GTPIN_THREADS=1 cargo test -q -p simpoint --test prop_lloyd_oracle
 GTPIN_THREADS=1 cargo test -q -p subset-select --test prop_parallel
 
 echo "== determinism properties at GTPIN_THREADS=4"
 GTPIN_THREADS=4 cargo test -q -p simpoint --test prop_parallel
+GTPIN_THREADS=4 cargo test -q -p simpoint --test prop_lloyd_oracle
 GTPIN_THREADS=4 cargo test -q -p subset-select --test prop_parallel
 
 echo "== sharded-simulator gate: detailed sim serial vs 4 workers, digests diffed"
