@@ -1,7 +1,8 @@
 //! # gtpin-chaos
 //!
 //! End-to-end chaos harness for the GT-Pin suite, surfaced as
-//! `gtpin chaos --seeds N`.
+//! `gtpin chaos --seeds N` (seed-derived scenarios) and `gtpin chaos
+//! --pinned` (one hand-built scenario per fault contract).
 //!
 //! Each scenario is derived **purely from one seed**
 //! ([`Scenario::derive`]): a multi-site fault plan (a random subset
@@ -22,6 +23,11 @@
 //! - **bounded convergence** — the sweep's injected crash/resume
 //!   loop converges within the restart budget.
 //!
+//! The pinned set ([`scenario::pinned`], run by [`run_pinned`]) adds
+//! the **baseline** oracle for lossless recoveries — the faulted run's
+//! results equal a run with the fault registry disabled — and fails
+//! any row that arms sites when none of them fired.
+//!
 //! A failing scenario is shrunk ([`shrink_scenario`]) to a minimal
 //! `(seed, site-set, kill-point)` triple before it is reported.
 //!
@@ -37,7 +43,7 @@ pub mod scenario;
 pub mod shrink;
 pub mod trial;
 
-pub use scenario::{OracleKind, Scenario, POOL_LOSSY, POOL_RESUME_SAFE, RATE_LADDER};
+pub use scenario::{pinned, OracleKind, Scenario, POOL_LOSSY, POOL_RESUME_SAFE, RATE_LADDER};
 pub use shrink::shrink_scenario;
 pub use trial::{fnv_fold, run_trial, TrialReport, DEFAULT_MAX_RESTARTS};
 
@@ -47,12 +53,13 @@ use gtpin_durable::Journal;
 use serde::{Deserialize, Serialize};
 
 /// Env knob: base seed for `gtpin chaos` (strict-parsed by
-/// `validate_env`; the `--seed-base` flag overrides).
+/// `validate_env`, read by the CLI as the `--seed-base` default).
 pub const CHAOS_SEED_ENV: &str = "GTPIN_CHAOS_SEED";
 
 /// Env knob: restart budget for the sweep crash/resume loop
-/// (strict-parsed by `validate_env`; `0` means "no restarts
-/// allowed", which fails any scenario that arms `journal.crash`).
+/// (strict-parsed by `validate_env`, read by the CLI as the
+/// `--max-restarts` default; `0` means "no restarts allowed", which
+/// fails any scenario that arms `journal.crash`).
 pub const CHAOS_MAX_RESTARTS_ENV: &str = "GTPIN_CHAOS_MAX_RESTARTS";
 
 /// Configuration of one chaos run.
@@ -60,7 +67,7 @@ pub const CHAOS_MAX_RESTARTS_ENV: &str = "GTPIN_CHAOS_MAX_RESTARTS";
 pub struct ChaosConfig {
     /// Number of scenarios (seeds `seed_base .. seed_base + seeds`).
     pub seeds: u64,
-    /// First seed (`--seed-base`, default [`CHAOS_SEED_ENV`] or 0).
+    /// First seed (`--seed-base`); the pinned set's one seed.
     pub seed_base: u64,
     /// Journal directory for the chaos run's own durability; `None`
     /// runs without it.
@@ -77,16 +84,10 @@ impl Default for ChaosConfig {
     fn default() -> ChaosConfig {
         ChaosConfig {
             seeds: 5,
-            seed_base: std::env::var(CHAOS_SEED_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0),
+            seed_base: 0,
             journal_dir: None,
             resume: false,
-            max_restarts: std::env::var(CHAOS_MAX_RESTARTS_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(DEFAULT_MAX_RESTARTS),
+            max_restarts: DEFAULT_MAX_RESTARTS,
             scratch: trial::default_scratch(),
         }
     }
@@ -225,7 +226,7 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, ChaosError> {
             replayed += 1;
             continue;
         }
-        let record = run_one(seed, config);
+        let record = run_one(&Scenario::derive(seed), config, false);
         if let Some(journal) = &mut journal {
             let json = serde_json::to_string(&record).unwrap_or_default();
             journal.append(json.as_bytes())?;
@@ -233,45 +234,81 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, ChaosError> {
         scenarios.push(record);
     }
 
+    Ok(finish(scenarios, replayed, config))
+}
+
+/// Run the pinned set ([`scenario::pinned`]) seeded with
+/// `config.seed_base`. Each row is judged by its oracle and also
+/// fails when it arms sites but none of them fired, so no row passes
+/// vacuously. The set is fixed and short, so it keeps no journal:
+/// `seeds`, `journal_dir`, and `resume` are not consulted.
+pub fn run_pinned(config: &ChaosConfig) -> ChaosReport {
+    let _span = gtpin_obs::span("chaos.pinned");
+    let scenarios = pinned(config.seed_base)
+        .into_iter()
+        .map(|(name, sc)| {
+            let mut record = run_one(&sc, config, true);
+            record.line = format!("{name}: {}", record.line);
+            record
+        })
+        .collect();
+    finish(scenarios, 0, config)
+}
+
+/// Fold the scenario records into the report digest and clear the
+/// trial scratch directory.
+fn finish(scenarios: Vec<ScenarioRecord>, replayed: usize, config: &ChaosConfig) -> ChaosReport {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for record in &scenarios {
         digest = fnv_fold(digest, record.line.as_bytes());
         digest = fnv_fold(digest, &record.digest.to_le_bytes());
     }
     let _ = std::fs::remove_dir_all(&config.scratch);
-    Ok(ChaosReport {
+    ChaosReport {
         scenarios,
         replayed,
         digest,
-    })
+    }
 }
 
-/// Derive, run, and (on failure) shrink one scenario.
-fn run_one(seed: u64, config: &ChaosConfig) -> ScenarioRecord {
+/// Run and (on an oracle failure) shrink one scenario. `pinned`
+/// scenarios also fail when they arm sites but none of them fired. A
+/// multi-site row need not fire every site: an early typed error can
+/// end the pipeline before a later seam. That failure is not shrunk,
+/// since dropping sites cannot make a site fire.
+fn run_one(sc: &Scenario, config: &ChaosConfig, pinned: bool) -> ScenarioRecord {
     let mut span = gtpin_obs::span("chaos.scenario");
-    let sc = Scenario::derive(seed);
     if span.active() {
-        span.arg_u64("seed", seed);
+        span.arg_u64("seed", sc.seed);
         span.arg_str("oracle", sc.oracle.label().to_string());
         span.arg_u64("sites", sc.sites.len() as u64);
         span.arg_u64("threads", sc.threads as u64);
     }
     gtpin_obs::counter_add("chaos.scenarios", 1);
-    let report = run_trial(&sc, config.max_restarts, &config.scratch);
-    let shrunk = if report.passed() {
-        None
-    } else {
-        gtpin_obs::counter_add("chaos.failures", 1);
+    let mut report = run_trial(sc, config.max_restarts, &config.scratch);
+    let shrunk = (!report.passed()).then(|| {
         // Minimize before reporting: re-run the trial on each
         // candidate and keep edits that still violate an oracle.
-        let minimal = shrink_scenario(&sc, |candidate| {
+        let minimal = shrink_scenario(sc, |candidate| {
             !run_trial(candidate, config.max_restarts, &config.scratch).passed()
         });
-        Some(minimal.describe())
+        minimal.describe()
+    });
+    let fired = |site: &str| {
+        let key = format!("injected.{site}");
+        report.accounting.iter().any(|(k, v)| *k == key && *v > 0)
     };
+    if pinned && !sc.sites.is_empty() && !sc.sites.iter().any(|(site, _)| fired(site)) {
+        report
+            .violations
+            .push("vacuous: no armed site fired".to_string());
+    }
+    if !report.passed() {
+        gtpin_obs::counter_add("chaos.failures", 1);
+    }
     ScenarioRecord {
-        seed,
-        line: report.line,
+        seed: sc.seed,
+        line: report.line(),
         digest: report.digest,
         violations: report.violations,
         shrunk,
@@ -321,10 +358,13 @@ mod tests {
         );
     }
 
+    /// The env knobs are the CLI's business: the library default is
+    /// a constant, whatever the environment holds.
     #[test]
-    fn default_config_reads_knobs_leniently() {
+    fn default_config_is_independent_of_the_environment() {
         let config = ChaosConfig::default();
-        assert!(config.max_restarts > 0);
         assert_eq!(config.seeds, 5);
+        assert_eq!(config.seed_base, 0);
+        assert_eq!(config.max_restarts, DEFAULT_MAX_RESTARTS);
     }
 }

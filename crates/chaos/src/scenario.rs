@@ -54,6 +54,12 @@ pub enum OracleKind {
     /// the scheduled point and resumed from its journal; the resumed
     /// responses and policy trajectory must be byte-identical.
     ResumeIdentity,
+    /// Run the pipeline once under the plan and once with the fault
+    /// registry disabled; the result digest (profile outcome, sweep
+    /// report, serve responses) must be identical — the recovery is
+    /// lossless. Only pinned scenarios use it; [`Scenario::derive`]
+    /// never does.
+    Baseline,
 }
 
 impl OracleKind {
@@ -62,14 +68,15 @@ impl OracleKind {
         match self {
             OracleKind::ReplayIdentity => "replay",
             OracleKind::ResumeIdentity => "resume",
+            OracleKind::Baseline => "baseline",
         }
     }
 }
 
-/// One derived chaos scenario. Every field is a pure function of
-/// [`Scenario::seed`] — except after shrinking, which edits `sites`,
-/// `kill_point`, and `explore` directly and is the only sanctioned
-/// way to construct a scenario the seed does not reproduce.
+/// One chaos scenario. A derived scenario's every field is a pure
+/// function of [`Scenario::seed`]. The two sanctioned exceptions are
+/// the hand-built rows of [`pinned`] and shrinking, which edits
+/// `sites`, `kill_point`, and `explore` directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// The generating seed (also the fault plan's seed).
@@ -90,6 +97,12 @@ pub struct Scenario {
     /// the serve pipeline — the most expensive request kind, so only
     /// about a quarter of scenarios pay for it.
     pub explore: bool,
+    /// Profile with memory tracing and the kernel timer on, so the
+    /// trace-record seams (`trace.shard_overflow` early drains,
+    /// `trace.record_corrupt` quarantine) have records to act on.
+    /// Derived scenarios leave it off: their profile stage counts
+    /// basic blocks only, which appends no trace records.
+    pub trace_memory: bool,
 }
 
 impl Scenario {
@@ -101,13 +114,14 @@ impl Scenario {
         } else {
             OracleKind::ResumeIdentity
         };
-        let pool: Vec<&'static str> = match oracle {
-            OracleKind::ResumeIdentity => POOL_RESUME_SAFE.to_vec(),
-            OracleKind::ReplayIdentity => POOL_RESUME_SAFE
+        let pool: Vec<&'static str> = if oracle == OracleKind::ResumeIdentity {
+            POOL_RESUME_SAFE.to_vec()
+        } else {
+            POOL_RESUME_SAFE
                 .iter()
                 .chain(POOL_LOSSY.iter())
                 .copied()
-                .collect(),
+                .collect()
         };
         let count = rng.gen_range(1usize..4).min(pool.len());
         let mut picked: Vec<usize> = Vec::with_capacity(count);
@@ -143,6 +157,7 @@ impl Scenario {
             kill_point,
             oracle,
             explore,
+            trace_memory: false,
         }
     }
 
@@ -190,18 +205,75 @@ impl Scenario {
         let sites: Vec<String> = self
             .sites
             .iter()
-            .map(|(s, r)| format!("{s}@{r:.1}"))
+            // One decimal for the derived rate ladder; full precision
+            // for finer pinned rates.
+            .map(|(s, r)| {
+                if (r * 10.0).fract() == 0.0 {
+                    format!("{s}@{r:.1}")
+                } else {
+                    format!("{s}@{r}")
+                }
+            })
             .collect();
         format!(
-            "seed {:#06x} oracle {} threads {} kill {} explore {} sites [{}]",
+            "seed {:#06x} oracle {} threads {} kill {} explore {} sites [{}]{}",
             self.seed,
             self.oracle.label(),
             self.threads,
             self.kill_point,
             self.explore,
-            sites.join(", ")
+            sites.join(", "),
+            if self.trace_memory {
+                " trace-memory"
+            } else {
+                ""
+            }
         )
     }
+}
+
+/// The pinned set: one named scenario per fault contract, each
+/// seeded with `seed`. Lossless recoveries are judged against the
+/// fault-free baseline; recoveries that degrade visibly (quarantined
+/// records, typed errors, isolated sessions) against a replay. Every
+/// site is armed alone by at least one row; `zero-rate` arms none
+/// and `all` arms every site. A new site in `site::ALL` needs a pool
+/// in this module and a row here (the tests enforce both).
+#[rustfmt::skip]
+pub fn pinned(seed: u64) -> Vec<(&'static str, Scenario)> {
+    use OracleKind::{Baseline, ReplayIdentity as Replay};
+    // Four worker threads, so the executor's and the simulator's
+    // shard seams exist; memory tracing, so trace seams have records.
+    let row = |name, sites, oracle, explore| {
+        let sc = Scenario {
+            seed,
+            sites,
+            threads: 4,
+            kill_point: 1,
+            oracle,
+            explore,
+            trace_memory: true,
+        };
+        (name, sc)
+    };
+    let one = |site, rate| vec![(site, rate)];
+    vec![
+        row("zero-rate", Vec::new(), Baseline, false),
+        row("shard-overflow", one(site::SHARD_OVERFLOW, 1.0), Baseline, false),
+        row("worker-panic", one(site::WORKER_PANIC, 0.5), Baseline, false),
+        row("sim-shard", one(site::SIM_SHARD, 1.0), Baseline, false),
+        row("serve-conn-drop", one(site::SERVE_CONN_DROP, 0.5), Baseline, false),
+        // The explore request routes the profile memo and the
+        // per-configuration interval tables through their heals too.
+        row("cache-corrupt", one(site::CACHE_CORRUPT, 1.0), Baseline, true),
+        row("journal-crash", one(site::JOURNAL_CRASH, 0.3), Baseline, false),
+        row("journal-crash-heavy", one(site::JOURNAL_CRASH, 0.7), Baseline, false),
+        row("record-corrupt", one(site::RECORD_CORRUPT, 0.05), Replay, false),
+        row("jit-fail", one(site::JIT_FAIL, 0.4), Replay, false),
+        row("launch-hang", one(site::LAUNCH_HANG, 0.3), Replay, false),
+        row("serve-session-crash", one(site::SERVE_SESSION_CRASH, 0.5), Replay, false),
+        row("all", site::ALL.map(|site| (site, 0.2)).to_vec(), Replay, false),
+    ]
 }
 
 /// Serve requests per scenario: two apps, each Profile + Sim + Lint,
@@ -256,6 +328,7 @@ mod tests {
             match sc.oracle {
                 OracleKind::ReplayIdentity => replay += 1,
                 OracleKind::ResumeIdentity => resume += 1,
+                OracleKind::Baseline => panic!("seed {seed} derived a baseline scenario"),
             }
             for (site, _) in &sc.sites {
                 seen.insert(site);
@@ -275,5 +348,47 @@ mod tests {
             .expect("some seed arms journal.crash");
         assert!(sc.plan().rate(site::JOURNAL_CRASH) > 0.0);
         assert_eq!(sc.serve_plan().rate(site::JOURNAL_CRASH), 0.0);
+    }
+
+    /// Adding a site to `site::ALL` must come with a decision about
+    /// its recovery (a pool) and a pinned row that arms it alone.
+    #[test]
+    fn every_site_is_classified_and_pinned() {
+        use std::collections::BTreeSet;
+        let all: BTreeSet<&str> = site::ALL.into_iter().collect();
+        let safe: BTreeSet<&str> = POOL_RESUME_SAFE.into_iter().collect();
+        let lossy: BTreeSet<&str> = POOL_LOSSY.into_iter().collect();
+        assert!(
+            safe.is_disjoint(&lossy),
+            "sites in both pools: {:?}",
+            safe.intersection(&lossy).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            safe.union(&lossy).copied().collect::<BTreeSet<_>>(),
+            all,
+            "POOL_RESUME_SAFE and POOL_LOSSY must partition site::ALL"
+        );
+
+        let rows = pinned(42);
+        for site in site::ALL {
+            assert!(
+                rows.iter()
+                    .any(|(_, sc)| sc.sites.len() == 1 && sc.arms(site)),
+                "no pinned row arms {site} alone"
+            );
+        }
+        let zero = rows.iter().filter(|(_, sc)| sc.sites.is_empty()).count();
+        let every = rows
+            .iter()
+            .filter(|(_, sc)| site::ALL.iter().all(|site| sc.arms(site)))
+            .count();
+        assert_eq!((zero, every), (1, 1), "one zero-site row, one all-site row");
+
+        let names: BTreeSet<&str> = rows.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names.len(), rows.len(), "pinned row names are unique");
+        for (name, sc) in &rows {
+            assert_eq!(sc.threads, 4, "{name}: shard seams need threads > 1");
+            assert_eq!(sc.seed, 42, "{name}");
+        }
     }
 }

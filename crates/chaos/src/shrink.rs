@@ -84,6 +84,7 @@ mod tests {
             kill_point,
             oracle: OracleKind::ResumeIdentity,
             explore,
+            trace_memory: false,
         }
     }
 

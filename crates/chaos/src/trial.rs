@@ -7,6 +7,8 @@
 //!    fault plan and check the trace-layer conservation identity
 //!    (every appended record is stored, dropped, or quarantined; the
 //!    executor surfaces violations as `violation.*` accounting keys).
+//!    `trace_memory` scenarios profile with memory tracing on, so the
+//!    trace-record seams have records to drain and quarantine.
 //! 2. **Sweep kill/resume** — only when `journal.crash` is armed:
 //!    drive the journaled exploration sweep through its injected
 //!    crash/resume loop until it converges, bounded by the restart
@@ -18,6 +20,15 @@
 //!    session journal) and must reproduce the uninterrupted pass's
 //!    responses and supervisor trajectory byte-for-byte.
 //!
+//! Every pass also checks its books: each corrupted sealed-cache read
+//! was healed.
+//!
+//! Baseline scenarios run the second pass with the fault registry
+//! disabled and require the same *result* — profile outcome, sweep
+//! report, serve responses — as the faulted pass: the recovery lost
+//! nothing. The result leaves out restart, dropped-delivery, and
+//! fault counts, which measure the faults themselves.
+//!
 //! Everything folded into the trial digest is a pure function of the
 //! scenario, so `gtpin chaos` prints one digest that is identical at
 //! any `GTPIN_THREADS` and across a mid-run kill/resume of the chaos
@@ -26,12 +37,14 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use gpu_device::GpuConfig;
+use gpu_device::{Gpu, GpuConfig};
+use gtpin_core::{GtPin, RewriteConfig};
 use gtpin_durable::JournalError;
-use gtpin_faults::site;
+use gtpin_faults::{site, FaultPlan};
 use gtpin_serve::wire::Request;
 use gtpin_serve::{ServeConfig, SessionEngine};
 use ocl_runtime::host::HostProgram;
+use ocl_runtime::runtime::{OclRuntime, Schedule};
 use subset_select::{profile_app, run_sweep, SweepOptions};
 use workloads::{all_specs, build_program, Scale};
 
@@ -62,14 +75,25 @@ pub struct TrialReport {
     pub violations: Vec<String>,
     /// Sweep restarts the crash/resume loop consumed.
     pub restarts: u64,
-    /// Deterministic one-line summary (scenario + digest + verdict).
-    pub line: String,
+    /// Fault accounting of the reference pass across every stage —
+    /// the `injected.<site>` counts show which armed sites fired.
+    pub accounting: Vec<(String, u64)>,
 }
 
 impl TrialReport {
     /// True when every oracle held.
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Deterministic one-line summary (scenario + digest + verdict).
+    pub fn line(&self) -> String {
+        let verdict = if self.passed() { "ok" } else { "FAIL" };
+        format!(
+            "{} -> digest {:#018x} {verdict}",
+            self.scenario.describe(),
+            self.digest
+        )
     }
 }
 
@@ -79,6 +103,10 @@ struct PassOutcome {
     /// Fold of every stage digest (profile, sweep, serve, resume
     /// accounting) — the replay-identity comparison unit.
     digest: u64,
+    /// Fold of the stage results alone (profile outcome, rendered
+    /// sweep report, serve response digest) — the baseline-identity
+    /// comparison unit.
+    result: u64,
     /// The serve stage's response digest alone — the resume-identity
     /// comparison unit.
     serve_digest: u64,
@@ -99,12 +127,12 @@ struct PassOutcome {
 pub fn run_trial(sc: &Scenario, max_restarts: u64, scratch: &Path) -> TrialReport {
     let root = scratch.join(format!("seed-{:04x}", sc.seed));
     let _ = std::fs::remove_dir_all(&root);
-    let reference = run_pass(sc, &root.join("ref"), None, max_restarts);
+    let reference = run_pass(sc, &root.join("ref"), None, max_restarts, true);
     let mut violations = reference.violations.clone();
 
     match sc.oracle {
         OracleKind::ReplayIdentity => {
-            let again = run_pass(sc, &root.join("again"), None, max_restarts);
+            let again = run_pass(sc, &root.join("again"), None, max_restarts, true);
             if again.digest != reference.digest {
                 violations.push(format!(
                     "replay divergence: digest {:#018x} vs {:#018x}",
@@ -125,7 +153,13 @@ pub fn run_trial(sc: &Scenario, max_restarts: u64, scratch: &Path) -> TrialRepor
             );
         }
         OracleKind::ResumeIdentity => {
-            let resumed = run_pass(sc, &root.join("killed"), Some(sc.kill_point), max_restarts);
+            let resumed = run_pass(
+                sc,
+                &root.join("killed"),
+                Some(sc.kill_point),
+                max_restarts,
+                true,
+            );
             if resumed.serve_digest != reference.serve_digest {
                 violations.push(format!(
                     "resume divergence: responses {:#018x} (resumed) vs {:#018x} (uninterrupted)",
@@ -145,6 +179,21 @@ pub fn run_trial(sc: &Scenario, max_restarts: u64, scratch: &Path) -> TrialRepor
                     .map(|v| format!("resumed run: {v}")),
             );
         }
+        OracleKind::Baseline => {
+            let baseline = run_pass(sc, &root.join("baseline"), None, max_restarts, false);
+            if baseline.result != reference.result {
+                violations.push(format!(
+                    "baseline divergence: result {:#018x} (faulted) vs {:#018x} (fault-free)",
+                    reference.result, baseline.result
+                ));
+            }
+            violations.extend(
+                baseline
+                    .violations
+                    .iter()
+                    .map(|v| format!("fault-free run: {v}")),
+            );
+        }
     }
 
     let _ = std::fs::remove_dir_all(&root);
@@ -153,14 +202,12 @@ pub fn run_trial(sc: &Scenario, max_restarts: u64, scratch: &Path) -> TrialRepor
         digest = fnv_fold(digest, key.as_bytes());
         digest = fnv_fold(digest, &value.to_le_bytes());
     }
-    let verdict = if violations.is_empty() { "ok" } else { "FAIL" };
-    let line = format!("{} -> digest {digest:#018x} {verdict}", sc.describe());
     TrialReport {
         scenario: sc.clone(),
         digest,
         violations,
         restarts: reference.restarts,
-        line,
+        accounting: reference.accounting,
     }
 }
 
@@ -178,10 +225,27 @@ fn accounting_value(acc: &BTreeMap<String, u64>, key: &str) -> u64 {
     acc.get(key).copied().unwrap_or(0)
 }
 
-fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -> PassOutcome {
+/// Run one pass over the three stages. With `armed` false the fault
+/// registry stays disabled throughout — the baseline oracle's
+/// fault-free reference.
+fn run_pass(
+    sc: &Scenario,
+    dir: &Path,
+    kill: Option<usize>,
+    max_restarts: u64,
+    armed: bool,
+) -> PassOutcome {
+    let arm = |plan: FaultPlan| {
+        if armed {
+            gtpin_faults::install(plan);
+        } else {
+            gtpin_faults::disable();
+        }
+    };
     let mut violations: Vec<String> = Vec::new();
     let mut accounting: BTreeMap<String, u64> = BTreeMap::new();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut result = digest;
     let specs = all_specs();
     let programs: Vec<HostProgram> = specs
         .iter()
@@ -198,58 +262,30 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
     gpu.exec.threads = sc.threads;
 
     // Stage 1: profile conservation under the full plan.
-    gtpin_faults::install(sc.plan());
+    arm(sc.plan());
+    let (outcome, records) = profile_stage(sc, &programs, gpu);
     digest = fnv_fold(digest, b"profile:");
-    let (dropped, quarantined) = match profile_app(&programs[0], gpu, 1) {
-        Ok(profiled) => {
-            let dropped: u64 = profiled
-                .data
-                .invocations
-                .iter()
-                .map(|i| i.dropped_records)
-                .sum();
-            let quarantined: u64 = profiled
-                .data
-                .invocations
-                .iter()
-                .map(|i| i.quarantined_records)
-                .sum();
-            let instructions: u64 = profiled
-                .data
-                .invocations
-                .iter()
-                .map(|i| i.instructions)
-                .sum();
-            digest = fnv_fold(digest, profiled.data.app.as_bytes());
-            digest = fnv_fold(
-                digest,
-                &(profiled.data.invocations.len() as u64).to_le_bytes(),
-            );
-            digest = fnv_fold(digest, &instructions.to_le_bytes());
-            digest = fnv_fold(digest, &dropped.to_le_bytes());
-            digest = fnv_fold(digest, &quarantined.to_le_bytes());
-            (dropped, quarantined)
-        }
-        Err(e) => {
-            digest = fnv_fold(digest, format!("error: {e}").as_bytes());
-            (0, 0)
-        }
-    };
+    digest = fnv_fold(digest, &outcome);
+    result = fnv_fold(result, &outcome);
     let stage = gtpin_faults::take_accounting();
     fold_accounting(&mut accounting, stage);
-    if sc.arms(site::RECORD_CORRUPT)
-        && accounting_value(&accounting, "injected.trace.record_corrupt") > 0
-        && quarantined == 0
-    {
-        violations.push("conservation: corrupt records injected but none quarantined".into());
-    }
-    if !sc.arms(site::SHARD_OVERFLOW)
-        && !sc.arms(site::RECORD_CORRUPT)
-        && (dropped != 0 || quarantined != 0)
-    {
-        violations.push(format!(
-            "conservation: {dropped} dropped / {quarantined} quarantined with no trace faults armed"
-        ));
+    // A run that failed with a typed error has no complete profile to
+    // check: its last launch never reached the drain.
+    if let Some((dropped, quarantined)) = records {
+        if sc.arms(site::RECORD_CORRUPT)
+            && accounting_value(&accounting, "injected.trace.record_corrupt") > 0
+            && quarantined == 0
+        {
+            violations.push("conservation: corrupt records injected but none quarantined".into());
+        }
+        if !sc.arms(site::SHARD_OVERFLOW)
+            && !sc.arms(site::RECORD_CORRUPT)
+            && (dropped != 0 || quarantined != 0)
+        {
+            violations.push(format!(
+                "conservation: {dropped} dropped / {quarantined} quarantined with no trace faults armed"
+            ));
+        }
     }
 
     // Stage 2: journaled sweep through its crash/resume loop.
@@ -266,7 +302,7 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
             .map(|outcome| outcome.report.render())
             .unwrap_or_else(|e| format!("error: {e}"));
 
-        gtpin_faults::install(sc.plan());
+        arm(sc.plan());
         let sweep_dir = dir.join("sweep");
         let mut opts = SweepOptions {
             threads: sc.threads,
@@ -276,18 +312,16 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
             resume: false,
             ..SweepOptions::default()
         };
-        digest = fnv_fold(digest, b"sweep:");
-        loop {
+        let outcome = loop {
             match run_sweep(&programs[..1], &opts) {
                 Ok(outcome) => {
                     let rendered = outcome.report.render();
-                    digest = fnv_fold(digest, rendered.as_bytes());
                     if !sc.arms_lossy() && rendered != baseline {
                         violations.push(
                             "sweep: resumed report diverged from the fault-free baseline".into(),
                         );
                     }
-                    break;
+                    break rendered;
                 }
                 Err(JournalError::InjectedCrash { .. }) => {
                     restarts += 1;
@@ -296,22 +330,21 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
                         violations.push(format!(
                             "sweep: did not converge within {max_restarts} restart(s)"
                         ));
-                        digest = fnv_fold(digest, b"unconverged");
-                        break;
+                        break "unconverged".to_string();
                     }
                 }
-                Err(e) => {
-                    digest = fnv_fold(digest, format!("error: {e}").as_bytes());
-                    break;
-                }
+                Err(e) => break format!("error: {e}"),
             }
-        }
+        };
+        digest = fnv_fold(digest, b"sweep:");
+        digest = fnv_fold(digest, outcome.as_bytes());
         digest = fnv_fold(digest, &restarts.to_le_bytes());
+        result = fnv_fold(result, outcome.as_bytes());
         fold_accounting(&mut accounting, gtpin_faults::take_accounting());
     }
 
     // Stage 3: the serve pipeline, optionally killed and resumed.
-    gtpin_faults::install(sc.serve_plan());
+    arm(sc.serve_plan());
     let requests = serve_requests(sc, &specs);
     let serve_dir = dir.join("serve");
     let config = ServeConfig {
@@ -340,7 +373,7 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
                 // that memory with it), and resume from the journal.
                 drop(engine);
                 fold_accounting(&mut accounting, gtpin_faults::take_accounting());
-                gtpin_faults::install(sc.serve_plan());
+                arm(sc.serve_plan());
                 match SessionEngine::new(ServeConfig {
                     resume: true,
                     ..config
@@ -364,6 +397,7 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
                         let acc = std::mem::take(&mut accounting);
                         return PassOutcome {
                             digest,
+                            result,
                             serve_digest: 0,
                             supervisor: rendered,
                             accounting: acc.into_iter().collect(),
@@ -382,6 +416,7 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
         }
     };
     digest = fnv_fold(digest, &serve_digest.to_le_bytes());
+    result = fnv_fold(result, &serve_digest.to_le_bytes());
     digest = fnv_fold(digest, supervisor.as_bytes());
     digest = fnv_fold(digest, &dropped_deliveries.to_le_bytes());
     fold_accounting(&mut accounting, gtpin_faults::take_accounting());
@@ -395,15 +430,93 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
             violations.push(format!("conservation: accounting reports {key}"));
         }
     }
+    // Heal oracle: a corrupted canary leaves the cached value intact,
+    // so results cannot show a skipped heal — only the books can.
+    // Every corrupted sealed-cache read must have been healed.
+    let corrupted = accounting_value(&accounting, "injected.cache.corrupt");
+    let healed = accounting_value(&accounting, "recovered.cache_heal");
+    if corrupted != healed {
+        violations.push(format!(
+            "heal: {corrupted} corrupted cache read(s) but {healed} heal(s)"
+        ));
+    }
 
     PassOutcome {
         digest,
+        result,
         serve_digest,
         supervisor,
         accounting: accounting.into_iter().collect(),
         restarts,
         violations,
     }
+}
+
+/// Stage 1's profile: the outcome bytes both pass digests fold, and
+/// — when every run completed — the trace records the profiles
+/// dropped and quarantined.
+type ProfileOutcome = (Vec<u8>, Option<(u64, u64)>);
+
+/// Profile the first app with `profile_app`, or — for `trace_memory`
+/// scenarios — every app with memory tracing on.
+fn profile_stage(sc: &Scenario, programs: &[HostProgram], gpu: GpuConfig) -> ProfileOutcome {
+    if sc.trace_memory {
+        return traced_profile(programs, gpu);
+    }
+    match profile_app(&programs[0], gpu, 1) {
+        Ok(profiled) => {
+            let invocations = &profiled.data.invocations;
+            let dropped: u64 = invocations.iter().map(|i| i.dropped_records).sum();
+            let quarantined: u64 = invocations.iter().map(|i| i.quarantined_records).sum();
+            let instructions: u64 = invocations.iter().map(|i| i.instructions).sum();
+            let mut outcome = profiled.data.app.into_bytes();
+            outcome.extend_from_slice(&(invocations.len() as u64).to_le_bytes());
+            outcome.extend_from_slice(&instructions.to_le_bytes());
+            outcome.extend_from_slice(&dropped.to_le_bytes());
+            outcome.extend_from_slice(&quarantined.to_le_bytes());
+            (outcome, Some((dropped, quarantined)))
+        }
+        Err(e) => (format!("error: {e}").into_bytes(), None),
+    }
+}
+
+/// Run every program once under GT-Pin with every recording tool on
+/// — basic-block counters, the kernel timer, and memory tracing —
+/// and return the profiles' JSON (or typed errors) as the outcome.
+/// Every app runs even after one fails. The second app matters: only
+/// its kernels append enough records per hardware thread to make an
+/// overflowing shard drain early.
+fn traced_profile(programs: &[HostProgram], gpu: GpuConfig) -> ProfileOutcome {
+    let mut outcome = Vec::new();
+    let mut records = Some((0, 0));
+    for program in programs {
+        let mut device = Gpu::new(gpu);
+        let gtpin = GtPin::new(RewriteConfig {
+            count_basic_blocks: true,
+            time_kernels: true,
+            trace_memory: true,
+            naive_per_instruction_counters: false,
+        });
+        gtpin.attach(&mut device);
+        let mut runtime = OclRuntime::new(device);
+        if let Err(e) = runtime.run(program, Schedule::Replay) {
+            outcome.extend_from_slice(format!("error: {e}").as_bytes());
+            records = None;
+            continue;
+        }
+        let profile = gtpin.profile(&program.name);
+        let dropped: u64 = profile.invocations.iter().map(|i| i.dropped_records).sum();
+        let quarantined: u64 = profile
+            .invocations
+            .iter()
+            .map(|i| i.quarantined_records)
+            .sum();
+        records = records.map(|(d, q)| (d + dropped, q + quarantined));
+        let json = serde_json::to_string(&profile)
+            .unwrap_or_else(|e| format!("unserializable profile: {e}"));
+        outcome.extend_from_slice(json.as_bytes());
+    }
+    (outcome, records)
 }
 
 /// The scenario's serve request list: two apps, each profiled,

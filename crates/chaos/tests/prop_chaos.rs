@@ -1,20 +1,22 @@
 //! Chaos harness properties.
 //!
-//! 1. A **single-site** chaos scenario must reproduce the same
-//!    degradation contract `gtpin faults-matrix` pins for that site:
-//!    the trial's oracles (conservation, replay identity, resume
-//!    identity, bounded restarts) all hold.
+//! 1. A **single-site** chaos scenario at any seed honors its site's
+//!    degradation contract: the trial's oracles (conservation, heal
+//!    accounting, replay identity, resume identity, bounded restarts)
+//!    all hold.
 //! 2. Trials are deterministic: the same scenario judged twice
 //!    yields the identical summary line and digest.
 //! 3. The chaos run's own journal gives kill/resume identity: a run
 //!    killed after some scenarios and resumed folds the same final
 //!    digest as an uninterrupted run.
+//! 4. A lossless pinned row matches the fault-free baseline while its
+//!    site fires.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
 
 use gtpin_chaos::{
-    run_chaos, run_trial, ChaosConfig, OracleKind, Scenario, POOL_LOSSY, POOL_RESUME_SAFE,
+    pinned, run_chaos, run_trial, ChaosConfig, OracleKind, Scenario, POOL_LOSSY, POOL_RESUME_SAFE,
 };
 use gtpin_faults::site;
 use proptest::prelude::*;
@@ -35,8 +37,7 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// A hand-built single-site scenario: resume-safe sites get the
-/// strict resume-identity oracle, lossy sites the replay oracle —
-/// the same split the faults matrix applies.
+/// strict resume-identity oracle, lossy sites the replay oracle.
 fn single_site(site: &'static str, rate: f64, seed: u64) -> Scenario {
     let oracle = if POOL_RESUME_SAFE.contains(&site) {
         OracleKind::ResumeIdentity
@@ -55,6 +56,7 @@ fn single_site(site: &'static str, rate: f64, seed: u64) -> Scenario {
         kill_point: 1 + (seed as usize % 5),
         oracle,
         explore: false,
+        trace_memory: false,
     }
 }
 
@@ -62,9 +64,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Every registered fault site, armed alone, honors its
-    /// faults-matrix contract under the chaos oracles.
+    /// contract under the chaos oracles.
     #[test]
-    fn single_site_scenarios_reproduce_the_matrix_contract(
+    fn single_site_scenarios_honor_their_contract(
         index in 0usize..10,
         rate in prop::sample::select(vec![0.4f64, 1.0]),
         seed in 0u64..1000,
@@ -97,7 +99,7 @@ fn trials_are_deterministic() {
     let sc = Scenario::derive(7);
     let first = run_trial(&sc, 200, &dir);
     let second = run_trial(&sc, 200, &dir);
-    assert_eq!(first.line, second.line);
+    assert_eq!(first.line(), second.line());
     assert_eq!(first.digest, second.digest);
     assert!(first.passed(), "{:?}", first.violations);
     let _ = std::fs::remove_dir_all(&dir);
@@ -144,4 +146,34 @@ fn chaos_journal_gives_kill_resume_identity() {
     );
     assert_eq!(resumed.render(), baseline.render());
     let _ = std::fs::remove_dir_all(&journal);
+}
+
+/// The shard-overflow row arms a lossless recovery: its shards drain
+/// early under memory tracing, and the profile, sweep, and serve
+/// results still equal a run with the fault registry disabled.
+#[test]
+fn pinned_shard_overflow_row_matches_the_fault_free_baseline() {
+    let _guard = lock();
+    let (_, sc) = pinned(42)
+        .into_iter()
+        .find(|(name, _)| *name == "shard-overflow")
+        .expect("the pinned set has a shard-overflow row");
+    assert_eq!(sc.oracle, OracleKind::Baseline);
+    let dir = scratch("pinned");
+    let report = run_trial(&sc, 200, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(report.passed(), "{:?}", report.violations);
+    assert!(
+        report.line().contains("oracle baseline"),
+        "{}",
+        report.line()
+    );
+    assert!(
+        report
+            .accounting
+            .iter()
+            .any(|(key, count)| key == "injected.trace.shard_overflow" && *count > 0),
+        "{:?}",
+        report.accounting
+    );
 }

@@ -123,7 +123,7 @@ pub mod site {
     /// bit-identical because recompute IS the reference path).
     pub const CACHE_CORRUPT: &str = "cache.corrupt";
 
-    /// Every named site, for matrix drivers.
+    /// Every named site, for drivers that sweep them all.
     pub const ALL: [&str; 10] = [
         SHARD_OVERFLOW,
         RECORD_CORRUPT,
@@ -281,7 +281,7 @@ pub fn enabled() -> bool {
     state().enabled.load(Ordering::Relaxed)
 }
 
-/// Install `plan` programmatically (e.g. from `gtpin faults-matrix`),
+/// Install `plan` programmatically (e.g. from a `gtpin chaos` trial),
 /// arming the registry and clearing all accounting so a fresh trial
 /// starts from zero.
 pub fn install(plan: FaultPlan) {
@@ -399,7 +399,7 @@ pub fn accounting() -> Vec<(String, u64)> {
 }
 
 /// Drain the accounting counters, returning the snapshot and leaving
-/// the registry at zero (used between matrix scenarios).
+/// the registry at zero (used between chaos trial stages).
 pub fn take_accounting() -> Vec<(String, u64)> {
     let s = state();
     let mut acc = s.accounting.lock().unwrap();

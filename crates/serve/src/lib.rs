@@ -27,7 +27,7 @@
 //!   `error[session]` response; a dropped client connection
 //!   (`serve.conn_drop`) abandons delivery only — the computed
 //!   response is already journaled and cached, and every sibling
-//!   session keeps running. `gtpin faults-matrix` pins both
+//!   session keeps running. `gtpin chaos --pinned` pins both
 //!   contracts.
 //! - **Graceful drain.** SIGTERM/SIGINT stop the accept loop,
 //!   in-flight sessions finish, and the socket is removed.

@@ -403,7 +403,7 @@ impl SessionEngine {
     }
 
     /// Deterministic digest over every cached terminal result —
-    /// the faults-matrix identity contracts hash this.
+    /// the chaos harness's identity oracles compare this.
     pub fn response_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for (key, result) in lock(&self.responses).iter() {
@@ -1297,6 +1297,10 @@ mod tests {
 
     #[test]
     fn lease_reaper_reclaims_expired_sessions_into_error_lease() {
+        let _g = FAULTS_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        gtpin_faults::disable();
         let app = first_app();
         let dir = std::env::temp_dir().join(format!("gtpin-serve-lease-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1333,6 +1337,15 @@ mod tests {
                 .expect("appends lease");
         }
 
+        // Resume armed but quiescent, so the reaper's accounting
+        // registers without any fault firing.
+        let reaped_count = || {
+            gtpin_faults::take_accounting()
+                .into_iter()
+                .find(|(key, _)| key == "recovered.lease_reaped")
+                .map_or(0, |(_, count)| count)
+        };
+        gtpin_faults::install(gtpin_faults::FaultPlan::quiescent(42));
         let (resumed, report) = SessionEngine::new(ServeConfig {
             journal_dir: Some(dir.clone()),
             resume: true,
@@ -1342,6 +1355,7 @@ mod tests {
         assert_eq!(report.replayed, 1);
         assert_eq!(report.recomputed, 0, "reaped, not recomputed");
         assert_eq!(report.reaped, 1);
+        assert_eq!(reaped_count(), 1, "the reap is accounted");
         match resumed.cached(&stuck.session_key()) {
             Some(SessionResult::Failed { kind, message, .. }) => {
                 assert_eq!(kind, "lease");
@@ -1360,6 +1374,8 @@ mod tests {
             ..ServeConfig::default()
         })
         .expect("resumes again");
+        assert_eq!(reaped_count(), 0, "nothing left to reap");
+        gtpin_faults::disable();
         assert_eq!(second.reaped, 0);
         assert_eq!(second.replayed, 2);
         assert_eq!(again.response_digest(), digest);

@@ -196,22 +196,34 @@ echo "== verifier gate: tier-1 tests with GTPIN_VERIFY=1"
 # Every rewrite the test suite performs is re-proved safe in-line.
 GTPIN_VERIFY=1 cargo test -q
 
-echo "== fault-matrix smoke: tier-1 tests armed-but-quiescent under GTPIN_FAULTS=1"
+echo "== armed-but-quiescent smoke: tier-1 tests under GTPIN_FAULTS=1"
 # Armed with all rates zero: every instrumented seam runs its check
 # path but nothing fires, so results must stay green and bit-identical.
 GTPIN_FAULTS=1 GTPIN_FAULTS_SEED=42 cargo test -q
 
-echo "== fault-matrix: every scenario twice, degradation contract asserted"
-MATRIX_OUT="$(cargo run -q --release --bin gtpin -- faults-matrix --seed 42 2>&1)" || {
-    echo "$MATRIX_OUT"
-    echo "FAIL: faults-matrix reported contract violations"
+echo "== pinned chaos set: one scenario per fault contract, digest pinned"
+# Thirteen named scenarios (zero-rate, one per site, journal.crash at
+# a heavier rate, all sites): lossless recoveries must match a
+# fault-free run, lossy ones must replay identically, and every row
+# must fire a site. The digest pins every row's outcome and fault
+# accounting. Re-pin only after reviewing what changed.
+PINNED_DIGEST=0x740d8a7e9674d197
+PINNED_OUT="$(./target/release/gtpin chaos --pinned --seed-base 42 2>&1)" || {
+    echo "$PINNED_OUT"
+    echo "FAIL: the pinned chaos set reported contract violations"
     exit 1
 }
-echo "$MATRIX_OUT" | grep -q "honored the degradation contract" || {
-    echo "$MATRIX_OUT"
-    echo "FAIL: faults-matrix did not emit its degradation summary"
+echo "$PINNED_OUT" | grep -q "13 scenario(s), 0 failure(s)" || {
+    echo "$PINNED_OUT"
+    echo "FAIL: the pinned chaos set did not run 13 passing scenarios"
     exit 1
 }
+echo "$PINNED_OUT" | grep -q "digest $PINNED_DIGEST" || {
+    echo "$PINNED_OUT" | tail -3
+    echo "FAIL: pinned chaos digest drifted from pinned $PINNED_DIGEST"
+    exit 1
+}
+echo "pinned chaos set passes with digest $PINNED_DIGEST"
 
 echo "== kill-and-resume smoke: SIGKILL mid-sweep, resume, diff vs uninterrupted"
 RESUME_DIR="$(pwd)/target/resume-check"

@@ -66,9 +66,6 @@
 //!                                     events (virtual cycles on stdout —
 //!                                     identical at every thread count —
 //!                                     wall-clock barrier stats on stderr)
-//! gtpin faults-matrix [--seed N]      run the workload suite under every
-//!                                     GTPIN_FAULTS scenario twice and
-//!                                     assert the degradation contract
 //! gtpin chaos [options]               seeded end-to-end chaos: each seed
 //!                                     derives a multi-site fault plan, a
 //!                                     kill/resume schedule across the
@@ -92,6 +89,11 @@
 //!     --max-restarts <n>              sweep crash/resume budget per
 //!                                     scenario (default
 //!                                     GTPIN_CHAOS_MAX_RESTARTS or 200)
+//!     --pinned                        run the pinned set instead: one
+//!                                     scenario per fault contract, all
+//!                                     seeded with --seed-base; lossless
+//!                                     recoveries must match a fault-free
+//!                                     run, and every armed site must fire
 //!     --self-test                     run the shrinker self-test and exit
 //! gtpin serve [options]               run the profiling daemon on a Unix
 //!                                     socket until SIGTERM/SIGINT drains
@@ -121,8 +123,9 @@
 //!            the daemon
 //! ```
 
+use gtpin_suite::chaos::fnv_fold;
 use gtpin_suite::device::{Gpu, GpuConfig};
-use gtpin_suite::durable::{Journal, JournalError};
+use gtpin_suite::durable::Journal;
 use gtpin_suite::faults;
 use gtpin_suite::gtpin::{AppCharacterization, GtPin, RewriteConfig};
 use gtpin_suite::isa::disasm::disassemble_flat;
@@ -160,13 +163,12 @@ fn main() {
         Some("obs-verify") => cmd_obs_verify(&args[1..]),
         Some("obs-convert") => cmd_obs_convert(&args[1..]),
         Some("obs-timeline") => cmd_obs_timeline(&args[1..]),
-        Some("faults-matrix") => cmd_faults_matrix(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("request") => cmd_request(&args[1..]),
         _ => {
             eprintln!(
-                "usage: gtpin <list|run|select|explore|sim|disasm|lint|analyze|luxmark|obs-report|obs-verify|obs-convert|obs-timeline|faults-matrix|chaos|serve|request> [args]"
+                "usage: gtpin <list|run|select|explore|sim|disasm|lint|analyze|luxmark|obs-report|obs-verify|obs-convert|obs-timeline|chaos|serve|request> [args]"
             );
             eprintln!("       see crate docs for options");
             std::process::exit(2);
@@ -911,812 +913,10 @@ fn cmd_request(args: &[String]) -> CliResult {
     Err("connection closed before a terminal response".into())
 }
 
-/// One deterministic trial of the suite under a fault plan: every app
-/// profiled with full instrumentation, outcomes digested.
-struct MatrixRun {
-    /// FNV digest over per-app profile JSON (or error string).
-    digest: u64,
-    /// Drained fault accounting for the trial.
-    accounting: Vec<(String, u64)>,
-    /// Apps that completed / failed with a typed error.
-    completed: usize,
-    failed: usize,
-    /// Degradation totals observed across all launches.
-    early_drains: u64,
-    dropped: u64,
-    quarantined: u64,
-}
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn matrix_run(
-    apps: &[gtpin_suite::workloads::WorkloadSpec],
-    plan: Option<&faults::FaultPlan>,
-) -> MatrixRun {
-    match plan {
-        Some(p) => faults::install(p.clone()),
-        None => faults::disable(),
-    }
-    let mut run = MatrixRun {
-        digest: 0xcbf2_9ce4_8422_2325,
-        accounting: Vec::new(),
-        completed: 0,
-        failed: 0,
-        early_drains: 0,
-        dropped: 0,
-        quarantined: 0,
-    };
-    for spec in apps {
-        let program = build_program(spec, Scale::Test);
-        let mut config = GpuConfig::hd4000();
-        // Force the parallel executor path so the shard-overflow and
-        // worker-panic seams are actually exercised.
-        config.exec.threads = 4;
-        let mut gpu = Gpu::new(config);
-        let gtpin = GtPin::new(RewriteConfig {
-            count_basic_blocks: true,
-            time_kernels: true,
-            trace_memory: true,
-            naive_per_instruction_counters: false,
-        });
-        gtpin.attach(&mut gpu);
-        let mut rt = OclRuntime::new(gpu);
-        match rt.run(&program, Schedule::Replay) {
-            Ok(_) => {
-                run.completed += 1;
-                let profile = gtpin.profile(spec.name);
-                for inv in &profile.invocations {
-                    run.dropped += inv.dropped_records;
-                    run.quarantined += inv.quarantined_records;
-                }
-                let json = serde_json::to_string(&profile)
-                    .unwrap_or_else(|e| format!("unserializable profile: {e}"));
-                run.digest = fnv_fold(run.digest, json.as_bytes());
-                let device = rt.into_device();
-                run.early_drains += device
-                    .launches()
-                    .iter()
-                    .map(|l| l.stats.trace_early_drains)
-                    .sum::<u64>();
-            }
-            Err(e) => {
-                run.failed += 1;
-                run.digest = fnv_fold(run.digest, e.to_string().as_bytes());
-            }
-        }
-    }
-    run.accounting = faults::take_accounting();
-    faults::disable();
-    run
-}
-
-/// One kill-and-resume trial of a journaled mini-sweep under `plan`:
-/// each injected `journal.crash` "kills the process" (`run_sweep`
-/// returns `InjectedCrash` and all in-flight work is lost), the loop
-/// resumes from the journal until the sweep completes, and the final
-/// report is digested for the identity contracts.
-struct JournalMatrixRun {
-    /// FNV digest over the final report JSON.
-    digest: u64,
-    /// Drained fault accounting for the whole trial.
-    accounting: Vec<(String, u64)>,
-    /// Simulated process deaths survived.
-    crashes: u64,
-    /// Records the final resume recovered from the journal.
-    recovered_records: usize,
-}
-
-fn matrix_journal_run(
-    apps: &[gtpin_suite::workloads::WorkloadSpec],
-    plan: Option<&faults::FaultPlan>,
-    dir: &std::path::Path,
-) -> Result<JournalMatrixRun, GtPinError> {
-    match plan {
-        Some(p) => faults::install(p.clone()),
-        None => faults::disable(),
-    }
-    let _ = std::fs::remove_dir_all(dir);
-    let programs: Vec<_> = apps.iter().map(|s| build_program(s, Scale::Test)).collect();
-    let mut opts = SweepOptions {
-        journal_dir: Some(dir.to_path_buf()),
-        threads: 2,
-        ..SweepOptions::default()
-    };
-    let mut crashes = 0u64;
-    let outcome = loop {
-        match run_sweep(&programs, &opts) {
-            Ok(out) => break out,
-            Err(JournalError::InjectedCrash { .. }) => {
-                crashes += 1;
-                opts.resume = true;
-                if crashes > 10_000 {
-                    faults::disable();
-                    return Err("journal-crash scenario failed to converge".into());
-                }
-            }
-            Err(e) => {
-                faults::disable();
-                return Err(e.into());
-            }
-        }
-    };
-    let json = serde_json::to_string(&outcome.report)?;
-    let accounting = faults::take_accounting();
-    faults::disable();
-    let _ = std::fs::remove_dir_all(dir);
-    Ok(JournalMatrixRun {
-        digest: fnv_fold(0xcbf2_9ce4_8422_2325, json.as_bytes()),
-        accounting,
-        crashes,
-        recovered_records: outcome
-            .stats
-            .recovery
-            .as_ref()
-            .map_or(0, |r| r.records.len()),
-    })
-}
-
-/// Detailed-simulate a few launches of one app at 4 workers under the
-/// given plan (or with faults disabled), returning the stats digest
-/// and the drained fault accounting.
-fn matrix_sim_run(
-    plan: Option<&faults::FaultPlan>,
-) -> Result<(u64, Vec<(String, u64)>), GtPinError> {
-    use gtpin_suite::device::detailed::{DetailedConfig, DetailedSimulator};
-    use gtpin_suite::device::GpuGeneration;
-
-    match plan {
-        Some(p) => faults::install(p.clone()),
-        None => faults::disable(),
-    }
-    let spec = all_specs().into_iter().next().ok_or("no workloads")?;
-    let program = build_program(&spec, Scale::Test);
-    let mut rt = OclRuntime::new(Gpu::new(GpuConfig::hd4000()));
-    rt.run(&program, Schedule::Replay)?;
-    let gpu = rt.into_device();
-    let mut sim = DetailedSimulator::new(
-        GpuGeneration::IvyBridgeHd4000.topology(),
-        1.15e9,
-        DetailedConfig::default(),
-    )
-    .with_workers(4);
-    let launches = gpu.launches();
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
-    for launch in launches.iter().take(6) {
-        let kernel = gpu
-            .driver()
-            .kernel(launch.kernel.index())
-            .ok_or("launch references an unbuilt kernel")?;
-        let r = sim.simulate_launch(kernel, &launch.args, launch.global_work_size)?;
-        digest = fnv_fold(digest, &r.cycles.to_le_bytes());
-        digest = fnv_fold(digest, serde_json::to_string(&r.stats)?.as_bytes());
-    }
-    let accounting = faults::take_accounting();
-    faults::disable();
-    Ok((digest, accounting))
-}
-
-/// One deterministic trial of the serve engine under a fault plan: a
-/// fixed request list handled sequentially, every response delivered
-/// into a byte sink through the `serve.conn_drop` seam.
-struct ServeMatrixRun {
-    /// FNV digest over the engine's cached terminal results.
-    digest: u64,
-    /// Drained fault accounting for the trial.
-    accounting: Vec<(String, u64)>,
-    /// Sessions handled / completed / failed-with-typed-error.
-    sessions: usize,
-    done: usize,
-    failed: usize,
-    /// Deliveries abandoned by the conn-drop seam.
-    dropped_deliveries: usize,
-}
-
-fn matrix_serve_run(
-    apps: &[gtpin_suite::workloads::WorkloadSpec],
-    plan: Option<&faults::FaultPlan>,
-    deep: bool,
-) -> Result<ServeMatrixRun, GtPinError> {
-    use gtpin_suite::serve::wire::Request;
-    use gtpin_suite::serve::{ServeConfig, SessionEngine};
-
-    match plan {
-        Some(p) => faults::install(p.clone()),
-        None => faults::disable(),
-    }
-    let (engine, _) = SessionEngine::new(ServeConfig {
-        threads: 2,
-        ..ServeConfig::default()
-    })?;
-    let mut requests = Vec::new();
-    if deep {
-        // The deep request list routes through every sealed cache:
-        // Profile seals a memo, Explore re-reads it and seals the
-        // per-configuration interval tables, Analyze seals the
-        // per-kernel analyses. Distinct session keys throughout, so
-        // the response cache never short-circuits the sealed reads.
-        let app = apps[0].name.to_string();
-        requests.push(Request::Profile {
-            app: app.clone(),
-            scale: "test".to_string(),
-        });
-        requests.push(Request::Explore {
-            app: app.clone(),
-            scale: "test".to_string(),
-            threshold_pct: 5.0,
-        });
-        requests.push(Request::Analyze { app });
-    } else {
-        for spec in apps {
-            requests.push(Request::Sim {
-                app: spec.name.to_string(),
-                launches: 2,
-            });
-            requests.push(Request::Lint {
-                app: spec.name.to_string(),
-            });
-        }
-    }
-
-    let mut run = ServeMatrixRun {
-        digest: 0,
-        accounting: Vec::new(),
-        sessions: requests.len(),
-        done: 0,
-        failed: 0,
-        dropped_deliveries: 0,
-    };
-    for request in &requests {
-        let key = request.session_key();
-        let result = engine.handle(request);
-        if result.is_err() {
-            run.failed += 1;
-        } else {
-            run.done += 1;
-        }
-        let mut sink = Vec::new();
-        match engine.deliver(&key, &result, &mut sink) {
-            Ok(true) => {}
-            Ok(false) => run.dropped_deliveries += 1,
-            Err(e) => {
-                faults::disable();
-                return Err(GtPinError::Serve(e.into()));
-            }
-        }
-    }
-    run.digest = engine.response_digest();
-    run.accounting = faults::take_accounting();
-    faults::disable();
-    Ok(run)
-}
-
-/// What a lease-expiry matrix run yields: the resumed engine's
-/// response digest, the fault accounting, and the reaped count.
-type LeaseRunOutcome = (u64, Vec<(String, u64)>, usize);
-
-/// Lease-expiry scenario: journal one completed session (advancing
-/// the virtual clock), hand-append a Start+Lease pair with an
-/// already-expired deadline — exactly what a SIGKILL'd worker leaves
-/// behind — then resume. The reaper must reclaim the orphan into a
-/// durable `error[lease]`. Returns (digest, accounting, reaped).
-fn matrix_lease_run(
-    apps: &[gtpin_suite::workloads::WorkloadSpec],
-    seed: u64,
-    tag: &str,
-) -> Result<LeaseRunOutcome, GtPinError> {
-    use gtpin_suite::serve::wire::Request;
-    use gtpin_suite::serve::{ServeConfig, SessionEngine, SessionRecord};
-
-    let dir = std::env::temp_dir().join(format!(
-        "gtpin-faults-matrix-lease-{}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    faults::disable();
-
-    let app = apps[0].name.to_string();
-    let stuck = Request::Lint { app: app.clone() };
-    // One completed session advances the virtual clock well past the
-    // tiny lease deadline appended below.
-    {
-        let (engine, _) = SessionEngine::new(ServeConfig {
-            journal_dir: Some(dir.clone()),
-            threads: 2,
-            ..ServeConfig::default()
-        })?;
-        let done = engine.handle(&Request::Sim {
-            app: app.clone(),
-            launches: 1,
-        });
-        if done.is_err() {
-            return Err("lease-expiry: clock-advancing session failed".into());
-        }
-    }
-    // The SIGKILL'd session: Start + Lease in the journal, no Finish.
-    {
-        let (mut journal, _) = Journal::recover(&dir)?;
-        let start = SessionRecord::Start {
-            key: stuck.session_key(),
-            request: stuck.clone(),
-        };
-        journal.append(serde_json::to_string(&start)?.as_bytes())?;
-        let lease = SessionRecord::Lease {
-            key: stuck.session_key(),
-            app,
-            deadline_virtual_ns: 1,
-        };
-        journal.append(serde_json::to_string(&lease)?.as_bytes())?;
-    }
-
-    // Resume with the registry armed-but-quiescent so the reaper's
-    // `recovered.lease_reaped` accounting registers.
-    faults::install(faults::FaultPlan::quiescent(seed));
-    let (resumed, report) = SessionEngine::new(ServeConfig {
-        journal_dir: Some(dir.clone()),
-        resume: true,
-        threads: 2,
-        ..ServeConfig::default()
-    })?;
-    let mut digest = resumed.response_digest();
-    digest = fnv_fold(
-        digest,
-        format!("{:?}", resumed.supervisor_report()).as_bytes(),
-    );
-    digest = fnv_fold(digest, &(report.reaped as u64).to_le_bytes());
-    let accounting = faults::take_accounting();
-    faults::disable();
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok((digest, accounting, report.reaped))
-}
-
-fn cmd_faults_matrix(args: &[String]) -> CliResult {
-    let seed: u64 = flag_value(args, "--seed")?
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(faults::DEFAULT_SEED);
-    let apps: Vec<gtpin_suite::workloads::WorkloadSpec> = all_specs().into_iter().take(3).collect();
-    let names: Vec<&str> = apps.iter().map(|s| s.name).collect();
-    println!("faults-matrix: seed {seed:#x}, apps {names:?}, each scenario run twice\n");
-
-    use faults::{site, FaultPlan};
-    let scenarios: Vec<(&str, Option<FaultPlan>)> = vec![
-        ("baseline", None),
-        ("zero-rate", Some(FaultPlan::quiescent(seed))),
-        (
-            "shard-overflow",
-            Some(FaultPlan::single(site::SHARD_OVERFLOW, 1.0, seed)),
-        ),
-        (
-            "record-corrupt",
-            Some(FaultPlan::single(site::RECORD_CORRUPT, 0.05, seed)),
-        ),
-        (
-            "jit-fail",
-            Some(FaultPlan::single(site::JIT_FAIL, 0.4, seed)),
-        ),
-        (
-            "launch-hang",
-            Some(FaultPlan::single(site::LAUNCH_HANG, 0.3, seed)),
-        ),
-        (
-            "worker-panic",
-            Some(FaultPlan::single(site::WORKER_PANIC, 0.5, seed)),
-        ),
-        ("all", Some(FaultPlan::uniform(0.2, seed))),
-    ];
-
-    let mut violations: Vec<String> = Vec::new();
-    let mut baseline_digest = None;
-    println!(
-        "{:15} {:>4} {:>4} {:>7} {:>7} {:>7} {:>9}  contract",
-        "scenario", "ok", "err", "drains", "dropped", "quar", "injected"
-    );
-    for (name, plan) in &scenarios {
-        let first = matrix_run(&apps, plan.as_ref());
-        let second = matrix_run(&apps, plan.as_ref());
-
-        if first.digest != second.digest || first.accounting != second.accounting {
-            violations.push(format!(
-                "{name}: two identically-seeded trials disagree \
-                 (digest {:#x} vs {:#x})",
-                first.digest, second.digest
-            ));
-        }
-        let injected: u64 = first
-            .accounting
-            .iter()
-            .filter(|(k, _)| k.starts_with("injected."))
-            .map(|(_, v)| v)
-            .sum();
-        let mut notes: Vec<&str> = vec!["replayed"];
-        match *name {
-            "baseline" => {
-                baseline_digest = Some(first.digest);
-            }
-            // Scenarios whose recovery is lossless must be
-            // indistinguishable from the no-fault profile.
-            "zero-rate" | "shard-overflow" | "worker-panic" => {
-                if baseline_digest != Some(first.digest) {
-                    violations.push(format!("{name}: profile digest diverged from baseline"));
-                } else {
-                    notes.push("baseline-identical");
-                }
-                if *name == "shard-overflow" && first.early_drains == 0 {
-                    violations.push("shard-overflow: no early drains recorded".into());
-                }
-                if *name != "zero-rate" && injected == 0 {
-                    violations.push(format!("{name}: no faults fired at its configured rate"));
-                }
-            }
-            "record-corrupt" => {
-                if injected > 0 && first.quarantined == 0 {
-                    violations.push(
-                        "record-corrupt: corrupt records injected but none quarantined".into(),
-                    );
-                } else {
-                    notes.push("quarantined");
-                }
-            }
-            // Degraded-but-accounted: every app must either complete
-            // or fail with a typed error; nothing may panic (a panic
-            // would have aborted this process).
-            "jit-fail" | "launch-hang" | "all" => {
-                if first.completed + first.failed != apps.len() {
-                    violations.push(format!("{name}: some apps neither completed nor failed"));
-                } else {
-                    notes.push("all-accounted");
-                }
-                if injected == 0 {
-                    violations.push(format!("{name}: no faults fired at its configured rate"));
-                }
-            }
-            _ => {}
-        }
-        println!(
-            "{:15} {:>4} {:>4} {:>7} {:>7} {:>7} {:>9}  {}",
-            name,
-            first.completed,
-            first.failed,
-            first.early_drains,
-            first.dropped,
-            first.quarantined,
-            injected,
-            notes.join(", ")
-        );
-    }
-
-    // Journal kill-and-resume scenarios: the sweep is repeatedly
-    // "killed" at injected crash points, resumed from the journal,
-    // and the final report must come out bit-identical to the
-    // uninterrupted baseline — torn tails truncated, never parsed.
-    let journal_apps: Vec<gtpin_suite::workloads::WorkloadSpec> =
-        all_specs().into_iter().take(2).collect();
-    let journal_scenarios: Vec<(&str, FaultPlan)> = vec![
-        (
-            "journal-crash",
-            FaultPlan::single(site::JOURNAL_CRASH, 0.3, seed),
-        ),
-        (
-            "journal-crash-heavy",
-            FaultPlan::single(site::JOURNAL_CRASH, 0.7, seed),
-        ),
-    ];
-    let dir = std::env::temp_dir().join(format!(
-        "gtpin-faults-matrix-journal-{}",
-        std::process::id()
-    ));
-    let journal_baseline = matrix_journal_run(&journal_apps, None, &dir)?;
-    println!(
-        "\n{:21} {:>7} {:>7} {:>9}  contract",
-        "journal scenario", "crashes", "records", "injected"
-    );
-    for (name, plan) in &journal_scenarios {
-        let first = matrix_journal_run(&journal_apps, Some(plan), &dir)?;
-        let second = matrix_journal_run(&journal_apps, Some(plan), &dir)?;
-        let mut notes: Vec<&str> = vec!["replayed"];
-        if first.digest != second.digest || first.accounting != second.accounting {
-            violations.push(format!(
-                "{name}: two identically-seeded trials disagree \
-                 (digest {:#x} vs {:#x})",
-                first.digest, second.digest
-            ));
-        }
-        if first.digest != journal_baseline.digest {
-            violations.push(format!(
-                "{name}: resumed report diverged from the uninterrupted baseline"
-            ));
-        } else {
-            notes.push("baseline-identical");
-        }
-        let injected: u64 = first
-            .accounting
-            .iter()
-            .filter(|(k, _)| k.starts_with("injected."))
-            .map(|(_, v)| v)
-            .sum();
-        if first.crashes == 0 || injected == 0 {
-            violations.push(format!(
-                "{name}: no journal crashes fired at its configured rate"
-            ));
-        } else {
-            notes.push("resumed");
-        }
-        println!(
-            "{:21} {:>7} {:>7} {:>9}  {}",
-            name,
-            first.crashes,
-            first.recovered_records,
-            injected,
-            notes.join(", ")
-        );
-    }
-
-    // Sim-shard scenario: kill every parallel epoch of a 4-worker
-    // detailed simulation; the serial fallback must reproduce the
-    // no-fault digest exactly, and every fallback must be accounted.
-    println!(
-        "\n{:21} {:>9} {:>9}  contract",
-        "sim scenario", "injected", "fallbacks"
-    );
-    {
-        let baseline = matrix_sim_run(None)?;
-        let plan = FaultPlan::single(site::SIM_SHARD, 1.0, seed);
-        let first = matrix_sim_run(Some(&plan))?;
-        let second = matrix_sim_run(Some(&plan))?;
-        let mut notes: Vec<&str> = vec!["replayed"];
-        if first.0 != second.0 || first.1 != second.1 {
-            violations.push(format!(
-                "sim-shard: two identically-seeded trials disagree \
-                 (digest {:#x} vs {:#x})",
-                first.0, second.0
-            ));
-        }
-        if first.0 != baseline.0 {
-            violations.push("sim-shard: degraded digest diverged from baseline".into());
-        } else {
-            notes.push("baseline-identical");
-        }
-        let injected: u64 = first
-            .1
-            .iter()
-            .filter(|(k, _)| k.starts_with("injected."))
-            .map(|(_, v)| v)
-            .sum();
-        let fallbacks = first
-            .1
-            .iter()
-            .find(|(k, _)| k.as_str() == "recovered.sim_serial_fallback")
-            .map_or(0, |(_, v)| *v);
-        if injected == 0 || fallbacks == 0 {
-            violations.push("sim-shard: no shard deaths fired at rate 1.0".into());
-        } else {
-            notes.push("serial-fallback");
-        }
-        println!(
-            "{:21} {:>9} {:>9}  {}",
-            "sim-shard",
-            injected,
-            fallbacks,
-            notes.join(", ")
-        );
-    }
-
-    // Serve scenarios: a fixed request list handled sequentially
-    // through one session engine, each response then delivered into
-    // a byte sink through the conn-drop seam. Crashed handlers must
-    // be isolated to typed error[session] results; dropped
-    // connections must not perturb the computed responses at all.
-    println!(
-        "\n{:21} {:>4} {:>4} {:>9} {:>9}  contract",
-        "serve scenario", "ok", "err", "injected", "recovered"
-    );
-    let serve_baseline = matrix_serve_run(&apps, None, false)?;
-    // Zero-rate equivalence: armed-but-quiescent serve seams run
-    // their check paths yet must reproduce the disabled baseline.
-    let serve_quiescent = matrix_serve_run(&apps, Some(&FaultPlan::quiescent(seed)), false)?;
-    if serve_quiescent.digest != serve_baseline.digest {
-        violations.push(
-            "serve zero-rate: armed-but-quiescent responses diverged from disabled baseline"
-                .to_string(),
-        );
-    }
-    let serve_scenarios: Vec<(&str, FaultPlan)> = vec![
-        (
-            "serve-session-crash",
-            FaultPlan::single(site::SERVE_SESSION_CRASH, 0.5, seed),
-        ),
-        (
-            "serve-conn-drop",
-            FaultPlan::single(site::SERVE_CONN_DROP, 0.5, seed),
-        ),
-    ];
-    for (name, plan) in &serve_scenarios {
-        let first = matrix_serve_run(&apps, Some(plan), false)?;
-        let second = matrix_serve_run(&apps, Some(plan), false)?;
-        let mut notes: Vec<&str> = vec!["replayed"];
-        if first.digest != second.digest || first.accounting != second.accounting {
-            violations.push(format!(
-                "{name}: two identically-seeded trials disagree \
-                 (digest {:#x} vs {:#x})",
-                first.digest, second.digest
-            ));
-        }
-        let injected: u64 = first
-            .accounting
-            .iter()
-            .filter(|(k, _)| k.starts_with("injected."))
-            .map(|(_, v)| v)
-            .sum();
-        let recovered: u64 = first
-            .accounting
-            .iter()
-            .filter(|(k, _)| k.starts_with("recovered.serve_"))
-            .map(|(_, v)| v)
-            .sum();
-        if injected == 0 || recovered == 0 {
-            violations.push(format!("{name}: no faults fired at its configured rate"));
-        }
-        match *name {
-            "serve-session-crash" => {
-                // Every request reaches exactly one terminal result:
-                // crashed handlers demote to error[session], nothing
-                // hangs, nothing takes a sibling session down.
-                if first.done + first.failed != first.sessions {
-                    violations.push(format!("{name}: some sessions never reached a terminal"));
-                } else {
-                    notes.push("all-accounted");
-                }
-                if first.failed == 0 {
-                    violations.push(format!("{name}: crashes fired but nothing was isolated"));
-                }
-            }
-            "serve-conn-drop" => {
-                // Drops are delivery-only: the computed responses are
-                // bit-identical to the no-fault baseline.
-                if first.digest != serve_baseline.digest {
-                    violations.push(format!(
-                        "{name}: computed responses diverged from the no-fault baseline"
-                    ));
-                } else {
-                    notes.push("baseline-identical");
-                }
-                if first.dropped_deliveries == 0 {
-                    violations.push(format!("{name}: no deliveries dropped at rate 0.5"));
-                }
-            }
-            _ => {}
-        }
-        println!(
-            "{:21} {:>4} {:>4} {:>9} {:>9}  {}",
-            name,
-            first.done,
-            first.failed,
-            injected,
-            recovered,
-            notes.join(", ")
-        );
-    }
-
-    // Self-healing scenarios: verify-on-read sealed caches under
-    // forced corruption, and the lease reaper reclaiming a
-    // SIGKILL'd session on resume.
-    println!(
-        "\n{:21} {:>9} {:>9}  contract",
-        "healing scenario", "injected", "healed"
-    );
-    {
-        // cache-corrupt: every sealed-cache read is corrupted in
-        // memory; verify-on-read must quarantine the bad entry,
-        // recompute, and come out bitwise identical to the no-fault
-        // deep baseline — corruption heals, it never propagates.
-        let deep_baseline = matrix_serve_run(&apps, None, true)?;
-        let plan = FaultPlan::single(site::CACHE_CORRUPT, 1.0, seed);
-        let first = matrix_serve_run(&apps, Some(&plan), true)?;
-        let second = matrix_serve_run(&apps, Some(&plan), true)?;
-        let mut notes: Vec<&str> = vec!["replayed"];
-        if first.digest != second.digest || first.accounting != second.accounting {
-            violations.push(format!(
-                "cache-corrupt: two identically-seeded trials disagree \
-                 (digest {:#x} vs {:#x})",
-                first.digest, second.digest
-            ));
-        }
-        if first.digest != deep_baseline.digest {
-            violations
-                .push("cache-corrupt: healed responses diverged from the no-fault baseline".into());
-        } else {
-            notes.push("baseline-identical");
-        }
-        let injected: u64 = first
-            .accounting
-            .iter()
-            .filter(|(k, _)| k.starts_with("injected."))
-            .map(|(_, v)| v)
-            .sum();
-        let healed = first
-            .accounting
-            .iter()
-            .find(|(k, _)| k.as_str() == "recovered.cache_heal")
-            .map_or(0, |(_, v)| *v);
-        let heals_profile = first
-            .accounting
-            .iter()
-            .any(|(k, v)| k.as_str() == "healed.serve.profile" && *v >= 1);
-        let heals_tables = first
-            .accounting
-            .iter()
-            .any(|(k, v)| k.as_str() == "healed.selection.interval_table" && *v >= 1);
-        if injected == 0 || healed == 0 {
-            violations.push("cache-corrupt: no corruptions healed at rate 1.0".into());
-        } else if !heals_profile || !heals_tables {
-            violations.push(
-                "cache-corrupt: healing missed a cache layer (memo or interval tables)".into(),
-            );
-        } else {
-            notes.push("healed");
-        }
-        println!(
-            "{:21} {:>9} {:>9}  {}",
-            "cache-corrupt",
-            injected,
-            healed,
-            notes.join(", ")
-        );
-    }
-    {
-        // lease-expiry: a session journaled Start+Lease but never
-        // Finish (a SIGKILL'd worker); resume must reap it into a
-        // durable error[lease] — deterministically.
-        let first = matrix_lease_run(&apps, seed, "a")?;
-        let second = matrix_lease_run(&apps, seed, "b")?;
-        let mut notes: Vec<&str> = vec!["replayed"];
-        if first.0 != second.0 || first.1 != second.1 {
-            violations.push(format!(
-                "lease-expiry: two identically-seeded trials disagree \
-                 (digest {:#x} vs {:#x})",
-                first.0, second.0
-            ));
-        }
-        let reaped = first
-            .1
-            .iter()
-            .find(|(k, _)| k.as_str() == "recovered.lease_reaped")
-            .map_or(0, |(_, v)| *v);
-        if first.2 != 1 || reaped == 0 {
-            violations.push("lease-expiry: the expired lease was not reaped on resume".into());
-        } else {
-            notes.push("reaped-into-error[lease]");
-        }
-        println!(
-            "{:21} {:>9} {:>9}  {}",
-            "lease-expiry",
-            first.2,
-            reaped,
-            notes.join(", ")
-        );
-    }
-
-    if violations.is_empty() {
-        println!(
-            "\nfaults-matrix: all {} scenarios honored the degradation contract",
-            scenarios.len() + journal_scenarios.len() + 1 + serve_scenarios.len() + 2
-        );
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("violation: {v}");
-        }
-        Err(format!("faults-matrix: {} contract violation(s)", violations.len()).into())
-    }
-}
-
 fn cmd_chaos(args: &[String]) -> CliResult {
-    use gtpin_suite::chaos::{run_chaos, self_test, ChaosConfig};
+    use gtpin_suite::chaos::{
+        run_chaos, run_pinned, self_test, ChaosConfig, CHAOS_MAX_RESTARTS_ENV, CHAOS_SEED_ENV,
+    };
 
     if args.iter().any(|a| a == "--self-test") {
         let (line, ok) = self_test();
@@ -1727,28 +927,46 @@ fn cmd_chaos(args: &[String]) -> CliResult {
         return Err("chaos --self-test: shrinking did not reach a single site".into());
     }
 
+    // A flag wins over its env knob, which wins over the library
+    // default; `validate_env` has already strict-parsed both knobs.
     let defaults = ChaosConfig::default();
+    let flag_or_env = |flag: &str, env: &str, default: u64| -> Result<u64, GtPinError> {
+        match flag_value(args, flag)? {
+            Some(v) => Ok(v.parse()?),
+            None => Ok(std::env::var(env)
+                .ok()
+                .and_then(|v| v.trim().parse().ok())
+                .unwrap_or(default)),
+        }
+    };
     let seeds: u64 = flag_value(args, "--seeds")?
         .map(str::parse)
         .transpose()?
         .unwrap_or(defaults.seeds);
-    let seed_base: u64 = flag_value(args, "--seed-base")?
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(defaults.seed_base);
-    let max_restarts: u64 = flag_value(args, "--max-restarts")?
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(defaults.max_restarts);
+    let seed_base = flag_or_env("--seed-base", CHAOS_SEED_ENV, defaults.seed_base)?;
+    let max_restarts = flag_or_env(
+        "--max-restarts",
+        CHAOS_MAX_RESTARTS_ENV,
+        defaults.max_restarts,
+    )?;
     let (journal_dir, resume) = parse_journal_flags(args)?;
-    let report = run_chaos(&ChaosConfig {
+    let pinned = args.iter().any(|a| a == "--pinned");
+    if pinned && (journal_dir.is_some() || args.iter().any(|a| a == "--seeds")) {
+        return Err("chaos --pinned runs a fixed set; drop --seeds/--journal/--resume".into());
+    }
+    let config = ChaosConfig {
         seeds,
         seed_base,
         journal_dir,
         resume,
         max_restarts,
         ..defaults
-    })?;
+    };
+    let report = if pinned {
+        run_pinned(&config)
+    } else {
+        run_chaos(&config)?
+    };
     print!("{}", report.render());
     if report.failures() == 0 {
         Ok(())
