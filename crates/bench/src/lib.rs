@@ -1,22 +1,18 @@
 //! # bench-suite
 //!
-//! Experiment drivers and bench targets regenerating every table and
-//! figure of the GT-Pin paper. Run `cargo bench -p bench-suite` to
-//! produce them all, or a single target, e.g.
-//! `cargo bench -p bench-suite --bench fig6_min_error`.
+//! The paper-report driver and the performance benches.
 //!
-//! | target | reproduces |
+//! `cargo run --release -p bench-suite --bin paper-report -- --scale default`
+//! regenerates every table and figure of the GT-Pin paper from one
+//! profiling pass and ends with a digest of its output;
+//! [EXPERIMENTS.md](../../EXPERIMENTS.md) quotes it.
+//!
+//! | target | measures |
 //! |---|---|
-//! | `tab1_benchmarks` | Table I + Figure 2 (system) |
-//! | `fig3_characterization` | Figure 3a/3b/3c |
-//! | `fig4_work` | Figure 4a/4b/4c |
-//! | `tab2_interval_space` | Table II |
-//! | `fig5_explore` | Figure 5 (3 sample apps × 30 configs) |
-//! | `fig6_min_error` | Figure 6 (per-app error-minimizing config) |
-//! | `fig7_cooptimize` | Figure 7 (threshold sweep) |
-//! | `fig8_validation` | Figure 8 (trials / frequencies / generations) |
-//! | `overhead` | Section III-C (GT-Pin 2–10× overhead) |
+//! | `paper-report` (bin) | Tables I–II, Figures 2–8, Section III-C overhead, feature-weighting ablation |
 //! | `simspeed` | Section I (detailed simulation ≫ native) |
 //! | `kmeans_perf` | SimPoint clustering throughput |
+//! | `explore_par` | parallel exploration speed-up and bit-identity |
+//! | `obsdrain` | GTOBS01 recording + drain against the legacy JSONL path |
 
 pub mod drivers;

@@ -122,7 +122,7 @@ fn mix2(a: u64, b: u64) -> u64 {
 /// a block executed 5 times at 20 instructions should outweigh one
 /// executed 10 times at 3). `RawCounts` is the ablation — plain
 /// occurrence counting — kept to let the weighting's contribution be
-/// measured (see the `ablation` bench).
+/// measured (see the weighting ablation in `paper-report`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FeatureWeighting {
     /// The paper's choice: entries weighted by dynamic instructions.

@@ -1,7 +1,7 @@
 //! The characterization shapes of Figures 3–4, asserted as tests:
 //! the headline qualitative facts the paper reports must hold in the
-//! reproduced suite (at test scale; the benches verify them at full
-//! scale).
+//! reproduced suite, at test scale. The full tables come from
+//! `paper-report`, whose test-scale digest `scripts/check.sh` pins.
 
 use gtpin_suite::device::GpuConfig;
 use gtpin_suite::gtpin::AppCharacterization;
