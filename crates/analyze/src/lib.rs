@@ -30,8 +30,8 @@
 //!   transfer, no app-memory traffic), every repaired branch mapped
 //!   to its original target.
 //!
-//! The verifier is gated into the engine with `GTPIN_VERIFY=1` and
-//! exposed on the CLI as `gtpin lint`.
+//! The engine runs the verifier on every rewrite, and the CLI exposes
+//! it as `gtpin lint`.
 
 pub mod bitset;
 pub mod cfg;

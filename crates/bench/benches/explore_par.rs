@@ -25,9 +25,7 @@ const PAR_THREADS: usize = 4;
 fn profiled_data() -> AppData {
     let spec = spec_by_name("cb-gaussian-image").expect("known app");
     let program = build_program(&spec, Scale::Test);
-    let mut gpu = gpu_device::GpuConfig::hd4000();
-    gpu.exec.threads = 1;
-    subset_select::profile_app(&program, gpu, 1)
+    subset_select::profile_app(&program, gpu_device::GpuConfig::hd4000(), 1)
         .expect("profiles")
         .data
 }

@@ -8,7 +8,9 @@
 //! The suite is profiled once and explored once; every section renders
 //! from those shared results. The output holds no wall-clock and is
 //! byte-identical at any `GTPIN_THREADS`. Its last line is the FNV-1a
-//! digest of every byte printed before it.
+//! digest of every byte printed before it. A malformed `GTPIN_*` knob
+//! is refused with `error[cli]` and exit status 2 before any work
+//! runs, like a malformed `--scale`.
 //!
 //! Table II's large → medium → small ordering and Figure 7's monotone
 //! speedup are checked: when either breaks, the report still prints,
@@ -20,6 +22,7 @@ use bench_suite::drivers::{parse_scale, pct, profile_suite, thousands, ProfiledW
 use gen_isa::OpcodeCategory;
 use gpu_device::{Gpu, GpuConfig, GpuGeneration};
 use gtpin_core::{AppCharacterization, GtPin, RewriteConfig};
+use gtpin_par::RunConfig;
 use ocl_runtime::runtime::{OclRuntime, Schedule};
 use simpoint::SimpointConfig;
 use subset_select::{
@@ -107,14 +110,21 @@ fn main() -> ExitCode {
     let Ok(scale) = parse_scale(&args).inspect_err(|e| eprintln!("paper-report: {e}")) else {
         return ExitCode::from(2);
     };
+    let threads = match RunConfig::from_env() {
+        Ok(config) => config.threads,
+        Err(e) => {
+            eprintln!("error[cli]: {e}");
+            return ExitCode::from(2);
+        }
+    };
 
-    let suite = profile_suite(scale);
+    let suite = profile_suite(scale, threads);
     let spc = SimpointConfig::default();
     let explorations: Vec<Exploration> = suite
         .iter()
         .map(|w| {
             let data = &w.profiled.data;
-            Exploration::run(data, default_approx_target(data), &spc)
+            Exploration::run_with_threads(data, default_approx_target(data), &spc, threads)
         })
         .collect();
     let best: Vec<&Evaluation> = explorations
@@ -129,8 +139,8 @@ fn main() -> ExitCode {
     figure5(&mut r, &explorations, &best);
     figure6(&mut r, &suite, &best);
     figure7(&mut r, &explorations);
-    figure8(&mut r, &suite, &best);
-    overhead(&mut r, &suite, scale);
+    figure8(&mut r, &suite, &best, threads);
+    overhead(&mut r, &suite, scale, threads);
     weighting_ablation(&mut r, &suite, &best);
 
     let digest = gtpin_obs::frame::fnv64(r.text.as_bytes());
@@ -441,9 +451,9 @@ fn figure7(r: &mut Report, explorations: &[Exploration]) {
 /// lower frequencies and Haswell.
 ///
 /// The 15 replays per app are independent, so (app, replay) pairs fan
-/// out across `GTPIN_THREADS` with device-internal parallelism off;
-/// errors come back in input order.
-fn figure8(r: &mut Report, suite: &[ProfiledWorkload], best: &[&Evaluation]) {
+/// out across `threads` workers, each replay's device running
+/// serially; errors come back in input order.
+fn figure8(r: &mut Report, suite: &[ProfiledWorkload], best: &[&Evaluation], threads: usize) {
     const TRIALS: usize = 9;
     let freqs = [1000.0e6, 850.0e6, 700.0e6, 550.0e6, 350.0e6];
     let replays: Vec<GpuConfig> = (2..=10)
@@ -454,9 +464,7 @@ fn figure8(r: &mut Report, suite: &[ProfiledWorkload], best: &[&Evaluation]) {
     let tasks: Vec<(usize, GpuConfig)> = (0..suite.len())
         .flat_map(|app| replays.iter().map(move |&gpu| (app, gpu)))
         .collect();
-    let threads = gtpin_par::configured_threads();
-    let errors = gtpin_par::parallel_map(&tasks, threads, |_, &(app, mut gpu)| {
-        gpu.exec.threads = 1;
+    let errors = gtpin_par::parallel_map(&tasks, threads, |_, &(app, gpu)| {
         let profiled = &suite[app].profiled;
         let timing = replay_timings(&profiled.recording, gpu).expect("replay runs");
         let data = profiled.data.with_timings(&timing).expect("same order");
@@ -538,7 +546,7 @@ fn summarize(r: &mut Report, rows: &[(&str, Vec<f64>)]) {
 /// dynamic instructions and in modelled time, for per-block counters
 /// (GT-Pin's design), full instrumentation (counters, timers and
 /// memory tracing) and the naive per-instruction counters.
-fn overhead(r: &mut Report, suite: &[ProfiledWorkload], scale: Scale) {
+fn overhead(r: &mut Report, suite: &[ProfiledWorkload], scale: Scale, threads: usize) {
     let apps = [
         "cb-gaussian-buffer",
         "cb-vision-facedetect",
@@ -553,14 +561,11 @@ fn overhead(r: &mut Report, suite: &[ProfiledWorkload], scale: Scale) {
         .iter()
         .filter(|w| apps.contains(&w.spec.name))
         .collect();
-    let threads = gtpin_par::configured_threads();
     let rows = gtpin_par::parallel_map(&measured, threads, |_, w| {
         let program = build_program(&w.spec, scale);
         // (dynamic instructions, modelled seconds) of one run.
         let run = |rewrite: Option<RewriteConfig>| {
-            let mut config = GpuConfig::hd4000();
-            config.exec.threads = 1;
-            let mut gpu = Gpu::new(config);
+            let mut gpu = Gpu::new(GpuConfig::hd4000());
             let _gtpin = rewrite.map(|c| {
                 let g = GtPin::new(c);
                 g.attach(&mut gpu);

@@ -17,18 +17,16 @@ pub struct ProfiledWorkload {
 /// Profile every application in the suite on the paper's HD 4000 at
 /// maximum frequency (trial 1).
 ///
-/// Applications are independent, so they fan out across
-/// `GTPIN_THREADS` workers (each app's device state is private);
-/// results come back in suite order regardless of thread count. Each
-/// per-app profile runs with device-internal parallelism disabled —
-/// across-app fan-out already uses the budget.
-pub fn profile_suite(scale: Scale) -> Vec<ProfiledWorkload> {
+/// Applications are independent, so they fan out across `threads`
+/// workers (each app's device state is private); results come back in
+/// suite order regardless of thread count. Each per-app profile runs
+/// its device serially — across-app fan-out already uses the budget.
+pub fn profile_suite(scale: Scale, threads: usize) -> Vec<ProfiledWorkload> {
     let specs = all_specs();
-    gtpin_par::parallel_map(&specs, gtpin_par::configured_threads(), |_, spec| {
+    gtpin_par::parallel_map(&specs, threads, |_, spec| {
         let program = build_program(spec, scale);
-        let mut gpu = GpuConfig::hd4000();
-        gpu.exec.threads = 1;
-        let profiled = profile_app(&program, gpu, 1).expect("suite programs profile cleanly");
+        let profiled =
+            profile_app(&program, GpuConfig::hd4000(), 1).expect("suite programs profile cleanly");
         ProfiledWorkload {
             spec: *spec,
             profiled,

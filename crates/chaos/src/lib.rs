@@ -37,7 +37,7 @@
 //! produces the identical final digest. Nothing volatile is folded
 //! into the digest, and every stage receives the scenario's thread
 //! count explicitly, so the digest is also independent of the
-//! ambient `GTPIN_THREADS`.
+//! caller's `GTPIN_THREADS`.
 
 pub mod scenario;
 pub mod shrink;
@@ -52,16 +52,6 @@ use std::path::PathBuf;
 use gtpin_durable::Journal;
 use serde::{Deserialize, Serialize};
 
-/// Env knob: base seed for `gtpin chaos` (strict-parsed by
-/// `validate_env`, read by the CLI as the `--seed-base` default).
-pub const CHAOS_SEED_ENV: &str = "GTPIN_CHAOS_SEED";
-
-/// Env knob: restart budget for the sweep crash/resume loop
-/// (strict-parsed by `validate_env`, read by the CLI as the
-/// `--max-restarts` default; `0` means "no restarts allowed", which
-/// fails any scenario that arms `journal.crash`).
-pub const CHAOS_MAX_RESTARTS_ENV: &str = "GTPIN_CHAOS_MAX_RESTARTS";
-
 /// Configuration of one chaos run.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
@@ -74,7 +64,8 @@ pub struct ChaosConfig {
     pub journal_dir: Option<PathBuf>,
     /// Recover `journal_dir` and skip completed scenarios.
     pub resume: bool,
-    /// Sweep restart budget per scenario.
+    /// Sweep restart budget per scenario; `0` allows no restarts,
+    /// which fails any scenario that arms `journal.crash`.
     pub max_restarts: u64,
     /// Scratch directory for per-trial journals.
     pub scratch: PathBuf,

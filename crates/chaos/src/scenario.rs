@@ -84,7 +84,7 @@ pub struct Scenario {
     /// Armed fault sites with their injection rates, in pool order.
     pub sites: Vec<(&'static str, f64)>,
     /// Worker threads the trial passes *explicitly* to every stage
-    /// (never the ambient `GTPIN_THREADS`), so the trial digest is
+    /// (never the caller's `GTPIN_THREADS`), so the trial digest is
     /// independent of the environment it runs in.
     pub threads: usize,
     /// Index into the serve request list before which the daemon is

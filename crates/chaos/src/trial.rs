@@ -51,7 +51,8 @@ use workloads::{all_specs, build_program, Scale};
 use crate::scenario::{OracleKind, Scenario};
 
 /// Default restart budget for the sweep crash/resume loop
-/// (`GTPIN_CHAOS_MAX_RESTARTS` overrides).
+/// (`gtpin chaos` takes `--max-restarts`, then
+/// `GTPIN_CHAOS_MAX_RESTARTS`).
 pub const DEFAULT_MAX_RESTARTS: u64 = 200;
 
 /// FNV-1a fold, matching the digest idiom of the CLI drivers.
@@ -254,10 +255,9 @@ fn run_pass(
         .collect();
 
     // The scenario's thread count governs every executor the trial
-    // spawns — never the ambient GTPIN_THREADS — because which fault
-    // seams exist depends on the worker count (the serial loop has
-    // no shards to overflow), and the trial digest folds fault
-    // accounting.
+    // spawns, because which fault seams exist depends on the worker
+    // count (the serial loop has no shards to overflow), and the
+    // trial digest folds fault accounting.
     let mut gpu = GpuConfig::hd4000();
     gpu.exec.threads = sc.threads;
 

@@ -29,9 +29,6 @@ struct Engine {
     next_tag: u32,
     site_table: HashMap<u32, SendSite>,
     tools: Vec<Rc<RefCell<dyn Tool>>>,
-    /// Run the instrumentation-safety verifier over every rewrite
-    /// (the `GTPIN_VERIFY=1` gate).
-    verify: bool,
 }
 
 impl Engine {
@@ -56,19 +53,17 @@ impl Engine {
         let mut span = gtpin_obs::span("engine.rewrite");
         span.arg_u64("kernel_index", kernel_index as u64);
         let rw = rewrite_binary(binary, &self.config, self.next_slot, self.next_tag)?;
-        if self.verify {
-            match gtpin_analyze::verify_rewrite(binary, &rw.bytes) {
-                Ok(report) => {
-                    gtpin_obs::counter_add("engine.rewrites_verified", 1);
-                    if span.active() {
-                        span.arg_u64("verified_probes", report.probes as u64);
-                    }
+        match gtpin_analyze::verify_rewrite(binary, &rw.bytes) {
+            Ok(report) => {
+                gtpin_obs::counter_add("engine.rewrites_verified", 1);
+                if span.active() {
+                    span.arg_u64("verified_probes", report.probes as u64);
                 }
-                Err(e) => {
-                    gtpin_obs::warn!("rewrite verification failed: {e}");
-                    gtpin_obs::counter_add("engine.rewrites_verify_failed", 1);
-                    return Err(format!("rewrite verification failed: {e}"));
-                }
+            }
+            Err(e) => {
+                gtpin_obs::warn!("rewrite verification failed: {e}");
+                gtpin_obs::counter_add("engine.rewrites_verify_failed", 1);
+                return Err(format!("rewrite verification failed: {e}"));
             }
         }
         if span.active() {
@@ -231,14 +226,10 @@ impl std::fmt::Debug for GtPin {
 impl GtPin {
     /// A GT-Pin instance with the given instrumentation configuration.
     ///
-    /// When the `GTPIN_VERIFY` environment variable is set (to
-    /// anything but `0` or the empty string), every rewrite is
-    /// checked by the [`gtpin_analyze`] instrumentation-safety
-    /// verifier, and failures abort the build like a JIT error.
+    /// Every rewrite is checked by the [`gtpin_analyze`]
+    /// instrumentation-safety verifier, and a failure aborts the
+    /// build like a JIT error.
     pub fn new(config: RewriteConfig) -> GtPin {
-        let verify = std::env::var("GTPIN_VERIFY")
-            .map(|v| v != "0" && !v.is_empty())
-            .unwrap_or(false);
         GtPin {
             state: Rc::new(RefCell::new(Engine {
                 config,
@@ -248,20 +239,8 @@ impl GtPin {
                 next_tag: 0,
                 site_table: HashMap::new(),
                 tools: Vec::new(),
-                verify,
             })),
         }
-    }
-
-    /// Enable or disable rewrite verification programmatically,
-    /// overriding whatever `GTPIN_VERIFY` said at construction.
-    pub fn set_verify_rewrites(&self, verify: bool) {
-        self.state.borrow_mut().verify = verify;
-    }
-
-    /// Whether rewrites are being verified.
-    pub fn verify_rewrites(&self) -> bool {
-        self.state.borrow().verify
     }
 
     /// Register a custom analysis tool. The tool is called at every
@@ -433,8 +412,6 @@ mod tests {
             trace_memory: true,
             naive_per_instruction_counters: false,
         });
-        gtpin.set_verify_rewrites(true);
-        assert!(gtpin.verify_rewrites());
         gtpin.attach(&mut gpu);
         let mut rt = OclRuntime::new(gpu);
         rt.run(&program(), Schedule::Replay).unwrap();

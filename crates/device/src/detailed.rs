@@ -23,8 +23,9 @@
 //! function of the ordered logs — neither depends on how EUs are
 //! partitioned across host workers, which is why the sharded run is
 //! bit-identical to the serial run at any worker count (see DESIGN.md
-//! decision 11). The worker count comes from `GTPIN_SIM_THREADS`
-//! (falling back to `GTPIN_THREADS`); a shard worker that panics —
+//! decision 11). The worker count is passed in
+//! ([`DetailedSimulator::with_workers`]; `gtpin sim` passes
+//! `GTPIN_SIM_THREADS`); a shard worker that panics —
 //! genuinely or via the `sim.shard` fault site — abandons the
 //! parallel attempt and the launch re-simulates serially from the
 //! untouched master state, so degradation never changes results.
@@ -357,7 +358,7 @@ enum EpochOutcome {
 /// Per-EU, per-epoch provenance instant: the virtual-cycle facts
 /// `gtpin obs-timeline` aggregates. All values are schedule-invariant
 /// (epoch deltas of the EU's own counters), so the aggregate report
-/// is identical at every `GTPIN_SIM_THREADS` setting.
+/// is identical at every worker count.
 fn eu_epoch_instant(launch: u64, eu: u64, epoch: u64, busy: u64, cycles: u64) {
     gtpin_obs::global().instant(
         "sim.eu_epoch",
@@ -409,10 +410,9 @@ pub struct DetailedSimulator {
 }
 
 impl DetailedSimulator {
-    /// A simulator of `topology` at `frequency_hz`. The shard worker
-    /// count comes from `GTPIN_SIM_THREADS` (falling back to
-    /// `GTPIN_THREADS`, then to the machine); results never depend on
-    /// it.
+    /// A simulator of `topology` at `frequency_hz` with one shard
+    /// worker, the serial epoch loop; [`Self::with_workers`] widens
+    /// it. Results never depend on the worker count.
     pub fn new(
         topology: GpuTopology,
         frequency_hz: f64,
@@ -424,7 +424,7 @@ impl DetailedSimulator {
             frequency_hz,
             cache: Cache::new(CacheConfig::llc_slice(topology.llc_slice_kib)),
             trace: TraceBuffer::new(),
-            workers: gtpin_par::configured_sim_threads(),
+            workers: 1,
             launches: 0,
         }
     }

@@ -91,9 +91,9 @@ impl std::error::Error for ExecError {}
 pub struct ExecConfig {
     /// Per-thread dynamic instruction budget.
     pub thread_budget: u64,
-    /// Worker threads for hardware-thread fan-out (`GTPIN_THREADS`
-    /// by default); `1` is the plain serial loop. Results are
-    /// bitwise identical at every value.
+    /// Worker threads for hardware-thread fan-out (default `1`, the
+    /// plain serial loop). Results are bitwise identical at every
+    /// value.
     pub threads: usize,
 }
 
@@ -101,7 +101,7 @@ impl Default for ExecConfig {
     fn default() -> ExecConfig {
         ExecConfig {
             thread_budget: 8_000_000,
-            threads: gtpin_par::configured_threads(),
+            threads: 1,
         }
     }
 }

@@ -184,17 +184,14 @@ impl FaultPlan {
     }
 
     /// Parse the `GTPIN_FAULTS` value. `Ok(None)` means disabled.
-    pub fn parse(spec: &str) -> Result<Option<FaultPlan>, String> {
+    /// `seed` seeds the `1`-style armed-quiescent forms (the caller
+    /// passes `GTPIN_FAULTS_SEED` or [`DEFAULT_SEED`]); a rated spec
+    /// takes its seed from its own `seed=N` entry.
+    pub fn parse(spec: &str, seed: u64) -> Result<Option<FaultPlan>, String> {
         let trimmed = spec.trim();
         match trimmed.to_ascii_lowercase().as_str() {
             "" | "0" | "false" | "off" | "no" => return Ok(None),
-            "1" | "true" | "yes" | "on" => {
-                let seed = std::env::var(FAULTS_SEED_ENV)
-                    .ok()
-                    .and_then(|s| s.trim().parse().ok())
-                    .unwrap_or(DEFAULT_SEED);
-                return Ok(Some(FaultPlan::quiescent(seed)));
-            }
+            "1" | "true" | "yes" | "on" => return Ok(Some(FaultPlan::quiescent(seed))),
             _ => {}
         }
         let mut plan = FaultPlan::quiescent(DEFAULT_SEED);
@@ -251,15 +248,22 @@ struct State {
 fn state() -> &'static State {
     static GLOBAL: OnceLock<State> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        let env_plan = std::env::var(FAULTS_ENV)
+        // A malformed seed falls back here; front ends reject it
+        // before anything runs (`gtpin_par::RunConfig`).
+        let seed = std::env::var(FAULTS_SEED_ENV)
             .ok()
-            .and_then(|v| match FaultPlan::parse(&v) {
-                Ok(p) => p,
-                Err(e) => {
-                    gtpin_obs::warn!("faults: ignoring invalid {FAULTS_ENV}: {e}");
-                    None
-                }
-            });
+            .and_then(|s| s.trim().parse().ok())
+            .unwrap_or(DEFAULT_SEED);
+        let env_plan =
+            std::env::var(FAULTS_ENV)
+                .ok()
+                .and_then(|v| match FaultPlan::parse(&v, seed) {
+                    Ok(p) => p,
+                    Err(e) => {
+                        gtpin_obs::warn!("faults: ignoring invalid {FAULTS_ENV}: {e}");
+                        None
+                    }
+                });
         let enabled = env_plan.is_some();
         if enabled {
             quiet_injected_panics();
@@ -446,25 +450,40 @@ mod tests {
     #[test]
     fn parse_forms() {
         let _g = LOCK.lock().unwrap();
-        assert_eq!(FaultPlan::parse("0").unwrap(), None);
-        assert_eq!(FaultPlan::parse("off").unwrap(), None);
-        assert_eq!(FaultPlan::parse("").unwrap(), None);
-        let armed = FaultPlan::parse("1").unwrap().unwrap();
+        assert_eq!(FaultPlan::parse("0", DEFAULT_SEED).unwrap(), None);
+        assert_eq!(FaultPlan::parse("off", DEFAULT_SEED).unwrap(), None);
+        assert_eq!(FaultPlan::parse("", DEFAULT_SEED).unwrap(), None);
+        let armed = FaultPlan::parse("1", DEFAULT_SEED).unwrap().unwrap();
         assert!(armed.rates.is_empty());
-        let spec = FaultPlan::parse("seed=9,jit.build_fail=0.5,all=0.1")
+        assert_eq!(armed.seed, DEFAULT_SEED);
+        let spec = FaultPlan::parse("seed=9,jit.build_fail=0.5,all=0.1", DEFAULT_SEED)
             .unwrap()
             .unwrap();
         assert_eq!(spec.seed, 9);
         // `all` came after the specific site, so it overwrote it.
         assert_eq!(spec.rate(site::JIT_FAIL), 0.1);
         assert_eq!(spec.rate(site::WORKER_PANIC), 0.1);
-        let spec = FaultPlan::parse("all=0.1,trace.record_corrupt=0.9")
+        let spec = FaultPlan::parse("all=0.1,trace.record_corrupt=0.9", DEFAULT_SEED)
             .unwrap()
             .unwrap();
         assert_eq!(spec.rate(site::RECORD_CORRUPT), 0.9);
-        assert!(FaultPlan::parse("bogus.site=0.5").is_err());
-        assert!(FaultPlan::parse("all=1.5").is_err());
-        assert!(FaultPlan::parse("seed=xyz").is_err());
+        assert!(FaultPlan::parse("bogus.site=0.5", DEFAULT_SEED).is_err());
+        assert!(FaultPlan::parse("all=1.5", DEFAULT_SEED).is_err());
+        assert!(FaultPlan::parse("seed=xyz", DEFAULT_SEED).is_err());
+    }
+
+    #[test]
+    fn parse_takes_the_quiescent_seed_from_its_caller() {
+        // Pure in its arguments: the armed-quiescent forms use the
+        // passed seed, a rated spec its own `seed=` entry.
+        for spec in ["1", " ON ", "yes"] {
+            let plan = FaultPlan::parse(spec, 42).unwrap().unwrap();
+            assert_eq!(plan, FaultPlan::quiescent(42), "{spec}");
+        }
+        let rated = FaultPlan::parse("seed=9,all=0.1", 42).unwrap().unwrap();
+        assert_eq!(rated.seed, 9);
+        let unseeded = FaultPlan::parse("all=0.1", 42).unwrap().unwrap();
+        assert_eq!(unseeded.seed, DEFAULT_SEED);
     }
 
     #[test]

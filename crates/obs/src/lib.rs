@@ -46,8 +46,8 @@ mod registry;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use export::{chrome_trace, event_jsonl_line, json_escape, jsonl, summary, totals_jsonl};
 pub use registry::{
-    ArgVal, Event, EventKind, Histogram, Registry, Snapshot, SpanGuard, MAX_BUFFERED_EVENTS,
-    OBS_DIR_ENV, OBS_ENV,
+    parse_flag, ArgVal, Event, EventKind, Histogram, Registry, Snapshot, SpanGuard,
+    MAX_BUFFERED_EVENTS, OBS_DIR_ENV, OBS_ENV,
 };
 
 use std::sync::OnceLock;
@@ -129,31 +129,4 @@ macro_rules! warn {
             $crate::warn_str(format!($($arg)*));
         }
     };
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn global_registry_follows_the_environment() {
-        let env_on = std::env::var(crate::OBS_ENV)
-            .map(|v| crate::registry::env_truthy(&v))
-            .unwrap_or(false);
-        assert_eq!(crate::enabled(), env_on);
-        let mut s = crate::span("test.noop");
-        s.arg_u64("x", 1);
-        assert_eq!(s.active(), env_on);
-        drop(s);
-        // Whichever way the switch is set, the free functions must
-        // not panic or misbehave.
-        crate::counter_add("c", 1);
-        crate::hist_ns("h", 1);
-        crate::instant("i");
-        crate::warn!("formatted only when enabled {}", 1);
-        if env_on {
-            assert!(crate::now_ns() > 0);
-        } else {
-            assert_eq!(crate::now_ns(), 0);
-            assert!(crate::write_artifacts().unwrap().is_empty());
-        }
-    }
 }

@@ -201,11 +201,16 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-pub(crate) fn env_truthy(value: &str) -> bool {
-    matches!(
-        value.trim().to_ascii_lowercase().as_str(),
-        "1" | "true" | "yes" | "on"
-    )
+/// The one on/off vocabulary of every `GTPIN_*` switch, trimmed and
+/// case-insensitive: `1`/`true`/`yes`/`on` are `Some(true)`,
+/// `0`/`false`/`no`/`off` and the empty string are `Some(false)`, and
+/// anything else (the typo `ture`) is `None` — malformed.
+pub fn parse_flag(value: &str) -> Option<bool> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "1" | "true" | "yes" | "on" => Some(true),
+        "" | "0" | "false" | "no" | "off" => Some(false),
+        _ => None,
+    }
 }
 
 impl Registry {
@@ -243,10 +248,7 @@ impl Registry {
     /// JSONL and Chrome trace artifacts are derived from it at
     /// [`Registry::write_artifacts`] time.
     pub fn from_env(force: bool) -> Registry {
-        let enabled = force
-            || std::env::var(OBS_ENV)
-                .map(|v| env_truthy(&v))
-                .unwrap_or(false);
+        let enabled = force || std::env::var(OBS_ENV).is_ok_and(|v| parse_flag(&v) == Some(true));
         let mut reg = Registry::new(enabled, Box::new(MonotonicClock::new()));
         if !enabled {
             return reg;
@@ -650,12 +652,37 @@ mod tests {
     }
 
     #[test]
-    fn env_truthiness() {
+    fn flag_vocabulary() {
         for v in ["1", "true", "YES", " on "] {
-            assert!(env_truthy(v), "{v}");
+            assert_eq!(parse_flag(v), Some(true), "{v}");
         }
-        for v in ["0", "false", "", "off", "2"] {
-            assert!(!env_truthy(v), "{v}");
+        for v in ["0", "false", "", "OFF", " no "] {
+            assert_eq!(parse_flag(v), Some(false), "{v}");
+        }
+        for v in ["2", "ture", "enable"] {
+            assert_eq!(parse_flag(v), None, "{v}");
+        }
+    }
+
+    #[test]
+    fn global_registry_follows_the_environment() {
+        let env_on = std::env::var(OBS_ENV).is_ok_and(|v| parse_flag(&v) == Some(true));
+        assert_eq!(crate::enabled(), env_on);
+        let mut s = crate::span("test.noop");
+        s.arg_u64("x", 1);
+        assert_eq!(s.active(), env_on);
+        drop(s);
+        // Whichever way the switch is set, the free functions must
+        // not panic or misbehave.
+        crate::counter_add("c", 1);
+        crate::hist_ns("h", 1);
+        crate::instant("i");
+        crate::warn!("formatted only when enabled {}", 1);
+        if env_on {
+            assert!(crate::now_ns() > 0);
+        } else {
+            assert_eq!(crate::now_ns(), 0);
+            assert!(crate::write_artifacts().unwrap().is_empty());
         }
     }
 }

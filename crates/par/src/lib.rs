@@ -10,169 +10,22 @@
 //! - results are collected **by task index**, never by completion
 //!   order, so every reduction downstream sees the serial order.
 //!
-//! The thread count comes from the `GTPIN_THREADS` environment
-//! variable (or an explicit argument); `threads <= 1` falls back to a
-//! plain serial loop with no thread machinery at all. Workers are
+//! Every primitive takes its thread count as an explicit argument;
+//! nothing here reads the environment. `GTPIN_THREADS` reaches it only
+//! through the one [`RunConfig`] a binary parses at start-up and
+//! passes down. `threads <= 1` falls back to a plain serial loop with
+//! no thread machinery at all. Workers are
 //! `std::thread::scope` scoped threads — no pool, no queues, no
 //! external dependencies — which keeps the fan-out cheap enough for
 //! per-kernel-launch use.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+pub mod config;
 pub mod supervisor;
 
+pub use config::{available_threads, RunConfig};
 pub use supervisor::{Admission, Outcome, Supervisor, SupervisorConfig, SupervisorReport};
-
-/// The environment variable controlling workspace-wide parallelism.
-pub const THREADS_ENV: &str = "GTPIN_THREADS";
-
-/// The environment variable overriding the worker count of the
-/// detailed cycle-level simulator specifically. Unset, the simulator
-/// inherits [`THREADS_ENV`].
-pub const SIM_THREADS_ENV: &str = "GTPIN_SIM_THREADS";
-
-/// The thread count to use: `GTPIN_THREADS` when set (values that
-/// fail to parse, or `0`, fall back to `1` — the serial path);
-/// otherwise the machine's available parallelism.
-///
-/// The lenient fallback keeps library embedders running; the CLI
-/// rejects malformed values up front via [`validate_threads_env`] so
-/// users are never silently clamped.
-pub fn configured_threads() -> usize {
-    match std::env::var(THREADS_ENV) {
-        Ok(s) => s
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// The detailed simulator's worker count: `GTPIN_SIM_THREADS` when
-/// set (same lenient fallback as [`configured_threads`]), otherwise
-/// whatever [`configured_threads`] says.
-pub fn configured_sim_threads() -> usize {
-    match std::env::var(SIM_THREADS_ENV) {
-        Ok(s) => s
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or(1),
-        Err(_) => configured_threads(),
-    }
-}
-
-/// How strict parsing should treat a `GTPIN_*` knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnvKnobKind {
-    /// A worker count: a positive integer (`0` is malformed — use
-    /// `1` for the serial path).
-    ThreadCount,
-    /// A budget/limit: any unsigned integer (`0` conventionally
-    /// means "disabled" and is accepted).
-    Limit,
-    /// An on/off switch: `1`/`true`/`yes`/`on` enable,
-    /// `0`/`false`/`no`/`off`/empty disable; anything else (e.g. the
-    /// typo `ture`) is malformed instead of silently off.
-    Flag,
-    /// A `GTPIN_FAULTS` plan spec, validated by
-    /// [`gtpin_faults::FaultPlan::parse`].
-    FaultPlan,
-}
-
-/// Every numeric `GTPIN_*` environment knob the suite reads, with
-/// the strictness class its value must satisfy. The serve/chaos knob
-/// names are string literals here (not re-exported consts) because
-/// this crate sits below those layers — each owning crate defines a
-/// matching const and a test pins the spelling.
-pub const NUMERIC_ENV_KNOBS: [(&str, EnvKnobKind); 11] = [
-    (THREADS_ENV, EnvKnobKind::ThreadCount),
-    (SIM_THREADS_ENV, EnvKnobKind::ThreadCount),
-    (supervisor::DEADLINE_ENV, EnvKnobKind::Limit),
-    (supervisor::BREAKER_ENV, EnvKnobKind::Limit),
-    (supervisor::MAX_TASKS_ENV, EnvKnobKind::Limit),
-    (supervisor::MAX_VIRTUAL_ENV, EnvKnobKind::Limit),
-    // gtpin-serve: session lease length (virtual ms, 0 disables) and
-    // the client retry policy (attempt cap, base backoff ms).
-    ("GTPIN_LEASE_MS", EnvKnobKind::Limit),
-    ("GTPIN_RETRY_MAX", EnvKnobKind::Limit),
-    ("GTPIN_RETRY_BASE_MS", EnvKnobKind::Limit),
-    // gtpin-chaos: restart bound per scenario and the base seed.
-    ("GTPIN_CHAOS_MAX_RESTARTS", EnvKnobKind::Limit),
-    ("GTPIN_CHAOS_SEED", EnvKnobKind::Limit),
-];
-
-/// The non-numeric `GTPIN_*` knobs: on/off switches plus the fault
-/// plan. `GTPIN_OBS=ture` used to silently disable telemetry; the
-/// strict parser makes that an `error[cli]` instead.
-pub const FLAG_ENV_KNOBS: [(&str, EnvKnobKind); 4] = [
-    ("GTPIN_OBS", EnvKnobKind::Flag),
-    ("GTPIN_VERIFY", EnvKnobKind::Flag),
-    ("GTPIN_PRESCREEN", EnvKnobKind::Flag),
-    (gtpin_faults::FAULTS_ENV, EnvKnobKind::FaultPlan),
-];
-
-/// Strict validation of every `GTPIN_*` knob ([`NUMERIC_ENV_KNOBS`]
-/// and [`FLAG_ENV_KNOBS`]), for front ends that should fail loudly
-/// instead of clamping: `Err` describes the first malformed value
-/// and names the variable, ready for an `error[cli]` report. One
-/// table, one parser — the library getters stay lenient so embedders
-/// keep running.
-pub fn validate_env() -> Result<(), String> {
-    for (var, kind) in NUMERIC_ENV_KNOBS.into_iter().chain(FLAG_ENV_KNOBS) {
-        if let Ok(raw) = std::env::var(var) {
-            validate_env_value(var, &raw, kind)?;
-        }
-    }
-    Ok(())
-}
-
-/// Strict validation of the two thread-count variables only. Kept
-/// for callers that tolerate lenient budget knobs; new front ends
-/// should call [`validate_env`].
-pub fn validate_threads_env() -> Result<(), String> {
-    for var in [THREADS_ENV, SIM_THREADS_ENV] {
-        if let Ok(raw) = std::env::var(var) {
-            validate_env_value(var, &raw, EnvKnobKind::ThreadCount)?;
-        }
-    }
-    Ok(())
-}
-
-/// The strict check behind [`validate_env`], separated so it is
-/// testable without touching process environment.
-fn validate_env_value(var: &str, raw: &str, kind: EnvKnobKind) -> Result<(), String> {
-    match kind {
-        EnvKnobKind::Flag => match raw.trim().to_ascii_lowercase().as_str() {
-            "" | "1" | "true" | "yes" | "on" | "0" | "false" | "no" | "off" => Ok(()),
-            _ => Err(format!(
-                "{var}={raw:?} is not a valid on/off flag \
-                 (expected 1/true/yes/on or 0/false/no/off)"
-            )),
-        },
-        EnvKnobKind::FaultPlan => gtpin_faults::FaultPlan::parse(raw)
-            .map(|_| ())
-            .map_err(|e| format!("{var}={raw:?} is not a valid fault plan: {e}")),
-        EnvKnobKind::ThreadCount | EnvKnobKind::Limit => match (raw.trim().parse::<u64>(), kind) {
-            (Ok(n), EnvKnobKind::ThreadCount) if n >= 1 => Ok(()),
-            (Ok(_), EnvKnobKind::ThreadCount) => Err(format!(
-                "{var}={raw:?} is not a valid thread count (must be >= 1)"
-            )),
-            (Ok(_), _) => Ok(()),
-            (Err(_), EnvKnobKind::ThreadCount) => Err(format!(
-                "{var}={raw:?} is not a valid thread count (expected a positive integer)"
-            )),
-            (Err(_), _) => Err(format!(
-                "{var}={raw:?} is not a valid limit (expected an unsigned integer)"
-            )),
-        },
-    }
-}
 
 /// Run `f(0..n)` across up to `threads` workers and return results in
 /// index order.
@@ -196,7 +49,7 @@ where
         // ladder as the fan-out below — otherwise whether the seam
         // even exists would depend on the worker count, and any
         // digest folding the injected accounting would move with
-        // the ambient `GTPIN_THREADS`.
+        // the thread count.
         return (0..n)
             .map(|i| {
                 run_guarded(&f, i, 0).unwrap_or_else(|| {
@@ -455,131 +308,6 @@ mod tests {
         let empty: Vec<usize> = parallel_indexed(0, 8, |i| i);
         assert!(empty.is_empty());
         assert_eq!(parallel_indexed(1, 8, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn configured_threads_is_at_least_one() {
-        let _guard = guard();
-        assert!(configured_threads() >= 1);
-        assert!(configured_sim_threads() >= 1);
-    }
-
-    #[test]
-    fn strict_validation_rejects_what_the_lenient_getters_clamp() {
-        let _guard = guard();
-        for good in ["1", "4", " 8 ", "128"] {
-            assert!(
-                validate_env_value(THREADS_ENV, good, EnvKnobKind::ThreadCount).is_ok(),
-                "{good}"
-            );
-        }
-        for bad in ["0", "-1", "four", "4.5", "", "  "] {
-            let err = validate_env_value(SIM_THREADS_ENV, bad, EnvKnobKind::ThreadCount)
-                .expect_err("malformed counts must be rejected");
-            assert!(
-                err.contains(SIM_THREADS_ENV),
-                "error names the variable: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn limit_knobs_accept_zero_but_reject_garbage() {
-        let _guard = guard();
-        // Budget knobs: 0 means "disabled", so it parses.
-        for good in ["0", "1", "250", " 1000 "] {
-            assert!(
-                validate_env_value(supervisor::DEADLINE_ENV, good, EnvKnobKind::Limit).is_ok(),
-                "{good}"
-            );
-        }
-        for bad in ["-1", "fast", "2.5", "", "1e9"] {
-            let err = validate_env_value(supervisor::MAX_TASKS_ENV, bad, EnvKnobKind::Limit)
-                .expect_err("malformed limits must be rejected");
-            assert!(
-                err.contains(supervisor::MAX_TASKS_ENV),
-                "error names the variable: {err}"
-            );
-        }
-        // The knob table names every supervised env variable exactly
-        // once, so a new knob cannot dodge front-end validation.
-        let names: Vec<&str> = NUMERIC_ENV_KNOBS.iter().map(|(n, _)| *n).collect();
-        for var in [
-            THREADS_ENV,
-            SIM_THREADS_ENV,
-            supervisor::DEADLINE_ENV,
-            supervisor::BREAKER_ENV,
-            supervisor::MAX_TASKS_ENV,
-            supervisor::MAX_VIRTUAL_ENV,
-            "GTPIN_LEASE_MS",
-            "GTPIN_RETRY_MAX",
-            "GTPIN_RETRY_BASE_MS",
-            "GTPIN_CHAOS_MAX_RESTARTS",
-            "GTPIN_CHAOS_SEED",
-        ] {
-            assert_eq!(names.iter().filter(|n| **n == var).count(), 1, "{var}");
-        }
-    }
-
-    #[test]
-    fn serve_and_chaos_knobs_strict_parse_as_limits() {
-        let _guard = guard();
-        for var in [
-            "GTPIN_LEASE_MS",
-            "GTPIN_RETRY_MAX",
-            "GTPIN_RETRY_BASE_MS",
-            "GTPIN_CHAOS_MAX_RESTARTS",
-            "GTPIN_CHAOS_SEED",
-        ] {
-            assert!(validate_env_value(var, "0", EnvKnobKind::Limit).is_ok());
-            assert!(validate_env_value(var, " 25 ", EnvKnobKind::Limit).is_ok());
-            let err = validate_env_value(var, "soon", EnvKnobKind::Limit)
-                .expect_err("garbage must be rejected");
-            assert!(err.contains(var), "error names the variable: {err}");
-        }
-    }
-
-    #[test]
-    fn flag_knobs_accept_both_polarities_and_reject_typos() {
-        let _guard = guard();
-        for good in [
-            "1", "true", "yes", "on", "0", "false", "no", "off", "", " ON ", "True",
-        ] {
-            assert!(
-                validate_env_value("GTPIN_OBS", good, EnvKnobKind::Flag).is_ok(),
-                "{good:?}"
-            );
-        }
-        // `GTPIN_OBS=ture` used to silently disable telemetry; the
-        // strict parser now names the variable and rejects it.
-        for bad in ["ture", "2", "enable", "y", "1.0"] {
-            let err = validate_env_value("GTPIN_OBS", bad, EnvKnobKind::Flag)
-                .expect_err("typos must be rejected");
-            assert!(err.contains("GTPIN_OBS"), "error names the variable: {err}");
-        }
-        let err = validate_env_value("GTPIN_PRESCREEN", "ture", EnvKnobKind::Flag)
-            .expect_err("prescreen typo rejected");
-        assert!(err.contains("GTPIN_PRESCREEN"));
-    }
-
-    #[test]
-    fn fault_plan_knob_delegates_to_the_faults_parser() {
-        let _guard = guard();
-        let rated = format!("{}=1.0,seed=7", gtpin_faults::site::WORKER_PANIC);
-        for good in ["", "0", "1", "on", "all=0.5", rated.as_str()] {
-            assert!(
-                validate_env_value(gtpin_faults::FAULTS_ENV, good, EnvKnobKind::FaultPlan).is_ok(),
-                "{good:?}"
-            );
-        }
-        for bad in ["journal.crash", "rate=fast", "=0.5"] {
-            let err = validate_env_value(gtpin_faults::FAULTS_ENV, bad, EnvKnobKind::FaultPlan)
-                .expect_err("malformed fault specs must be rejected");
-            assert!(
-                err.contains(gtpin_faults::FAULTS_ENV),
-                "error names the variable: {err}"
-            );
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! knob, independent of the thread count), rounds run through the
 //! order-preserving fan-out, and all policy state advances by folding
 //! outcomes in index order. The same inputs therefore produce the
-//! same outcomes at any `GTPIN_THREADS`.
+//! same outcomes at any thread count.
 //!
 //! Resume support: [`Supervisor::run_units`] accepts a `cached`
 //! lookup. A unit with a journaled outcome is **replayed** — its
@@ -109,7 +109,7 @@ pub struct SupervisorConfig {
     /// Units per dispatch round. Policy checks happen between
     /// rounds, so this bounds over-dispatch after a breaker opens or
     /// the budget runs out. Independent of the thread count — the
-    /// outcome sequence is identical at any `GTPIN_THREADS`.
+    /// outcome sequence is identical at any thread count.
     pub batch: usize,
 }
 
@@ -122,41 +122,6 @@ impl Default for SupervisorConfig {
             max_virtual_ns: None,
             batch: 8,
         }
-    }
-}
-
-/// Environment variable: per-task deadline in virtual milliseconds.
-pub const DEADLINE_ENV: &str = "GTPIN_DEADLINE_MS";
-/// Environment variable: breaker threshold (consecutive failures).
-pub const BREAKER_ENV: &str = "GTPIN_BREAKER";
-/// Environment variable: max units run across the sweep.
-pub const MAX_TASKS_ENV: &str = "GTPIN_MAX_TASKS";
-/// Environment variable: max cumulative virtual milliseconds.
-pub const MAX_VIRTUAL_ENV: &str = "GTPIN_MAX_VIRTUAL_MS";
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-impl SupervisorConfig {
-    /// Defaults overridden by the `GTPIN_DEADLINE_MS`,
-    /// `GTPIN_BREAKER`, `GTPIN_MAX_TASKS`, and `GTPIN_MAX_VIRTUAL_MS`
-    /// environment knobs (milliseconds are virtual time).
-    pub fn from_env() -> SupervisorConfig {
-        let mut config = SupervisorConfig::default();
-        if let Some(ms) = env_u64(DEADLINE_ENV) {
-            config.deadline_virtual_ns = Some(ms.saturating_mul(1_000_000));
-        }
-        if let Some(n) = env_u64(BREAKER_ENV) {
-            config.breaker_threshold = n as u32;
-        }
-        if let Some(n) = env_u64(MAX_TASKS_ENV) {
-            config.max_tasks = Some(n);
-        }
-        if let Some(ms) = env_u64(MAX_VIRTUAL_ENV) {
-            config.max_virtual_ns = Some(ms.saturating_mul(1_000_000));
-        }
-        config
     }
 }
 

@@ -167,11 +167,12 @@ pub fn evaluate_config_weighted(
 /// Evaluate one configuration against a pre-built [`SchemeTable`],
 /// reusing its interval division and per-interval base profiles.
 ///
-/// This is the memoized core `Exploration::run` fans out over: the
-/// 3 tables are built once and shared by the 10 feature kinds each,
-/// so 30 evaluations cost 3 trace divisions instead of 30. Results
-/// are bitwise identical to [`evaluate_config_weighted`] because the
-/// table accumulates its sums in the same order the direct path does.
+/// This is the memoized core `Exploration::run_with_threads` fans out
+/// over: the 3 tables are built once and shared by the 10 feature
+/// kinds each, so 30 evaluations cost 3 trace divisions instead of
+/// 30. Results are bitwise identical to [`evaluate_config_weighted`]
+/// because the table accumulates its sums in the same order the
+/// direct path does.
 ///
 /// # Panics
 ///

@@ -25,7 +25,7 @@ pub struct Exploration {
 }
 
 impl Exploration {
-    /// Evaluate all 30 configurations.
+    /// Evaluate all 30 configurations across `threads` workers.
     ///
     /// `approx_target` is the medium interval size in instructions
     /// (the paper's ~100M, scaled).
@@ -35,25 +35,11 @@ impl Exploration {
     ///
     /// The trace is divided **once per interval scheme** (3 divisions
     /// for 30 configurations, with per-interval base profiles shared
-    /// across the 10 feature kinds), and the evaluations fan out
-    /// across `GTPIN_THREADS` workers. The result is bitwise
-    /// identical at every thread count — see [`Self::run_with_threads`].
-    pub fn run(data: &AppData, approx_target: u64, simpoint: &SimpointConfig) -> Exploration {
-        Self::run_with_threads(
-            data,
-            approx_target,
-            simpoint,
-            gtpin_par::configured_threads(),
-        )
-    }
-
-    /// [`Self::run`] with an explicit worker count.
-    ///
-    /// Each of the 30 evaluations is independent (SimPoint seeds
-    /// derive from the configuration, never from shared mutable
-    /// state) and results are collected in configuration order, so
-    /// `run_with_threads(d, t, s, n)` returns the same bits for
-    /// every `n ≥ 1`; `n = 1` is a plain serial loop.
+    /// across the 10 feature kinds). Each of the 30 evaluations is
+    /// independent (SimPoint seeds derive from the configuration,
+    /// never from shared mutable state) and results are collected in
+    /// configuration order, so `run_with_threads(d, t, s, n)` returns
+    /// the same bits for every `n ≥ 1`; `n = 1` is a plain serial loop.
     pub fn run_with_threads(
         data: &AppData,
         approx_target: u64,
@@ -200,7 +186,7 @@ mod tests {
 
     fn explored() -> Exploration {
         let d = synthetic_app(6, 8);
-        Exploration::run(&d, 30_000, &SimpointConfig::default())
+        Exploration::run_with_threads(&d, 30_000, &SimpointConfig::default(), 2)
     }
 
     #[test]

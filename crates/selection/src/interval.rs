@@ -98,14 +98,14 @@ impl Interval {
 /// (instruction and time sums), computed **once** and shared across
 /// every feature kind that evaluates under the scheme.
 ///
-/// `Exploration::run` evaluates 10 feature kinds per scheme; without
-/// this table each evaluation re-divides the trace and re-walks the
-/// invocations (30 divisions per app). With it, the division and the
-/// per-interval sums happen 3 times and are read 30 times — and the
-/// sums are accumulated in exactly the order [`Interval::instructions`]
-/// and [`Interval::seconds`] use, so every derived quantity
-/// (weights, SPI, projections) is bitwise identical to the
-/// un-memoized path.
+/// `Exploration::run_with_threads` evaluates 10 feature kinds per
+/// scheme; without this table each evaluation re-divides the trace
+/// and re-walks the invocations (30 divisions per app). With it, the
+/// division and the per-interval sums happen 3 times and are read 30
+/// times — and the sums are accumulated in exactly the order
+/// [`Interval::instructions`] and [`Interval::seconds`] use, so every
+/// derived quantity (weights, SPI, projections) is bitwise identical
+/// to the un-memoized path.
 #[derive(Debug, Clone)]
 pub struct SchemeTable {
     /// The scheme this table divides under.

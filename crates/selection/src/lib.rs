@@ -51,6 +51,4 @@ pub use prescreen::{PrescreenReport, PrescreenRow, PrescreenSample, StaticEstima
 pub use sweep::{
     run_sweep, AppSweepSummary, SweepOptions, SweepOutcome, SweepReport, SweepStats, UnitRecord,
 };
-pub use validate::{
-    cross_error_pct, validate_against, validate_against_with_threads, ValidationPoint,
-};
+pub use validate::{cross_error_pct, validate_against_with_threads, ValidationPoint};

@@ -1,7 +1,7 @@
 //! Static pre-screening for the exploration sweep.
 //!
-//! When `GTPIN_PRESCREEN=1` is set (or [`SweepOptions::prescreen`]
-//! is enabled directly), the sweep prices every app *before* any
+//! When [`SweepOptions::prescreen`] is enabled (`gtpin explore` sets
+//! it from `GTPIN_PRESCREEN`), the sweep prices every app *before* any
 //! simulation with the structural static cycle estimator
 //! ([`gtpin_analyze::StaticCost`]): each kernel is compiled and
 //! analyzed once, yielding a static seconds-per-instruction, and an
@@ -33,14 +33,6 @@ use ocl_runtime::host::HostProgram;
 use serde::{Deserialize, Serialize};
 
 use crate::data::AppData;
-
-/// Truthiness of `GTPIN_PRESCREEN`, matching the observability
-/// registry's convention: `1`, `true`, `yes`, and `on` enable.
-pub fn prescreen_requested() -> bool {
-    std::env::var("GTPIN_PRESCREEN")
-        .map(|v| matches!(v.as_str(), "1" | "true" | "yes" | "on"))
-        .unwrap_or(false)
-}
 
 /// Per-kernel static seconds-per-instruction for every app in the
 /// sweep, computed once up front from the kernel binaries alone.

@@ -62,7 +62,8 @@ pub struct SweepOptions {
     pub resume: bool,
     /// When true, statically price every app up front and record the
     /// estimate-vs-simulated comparison ([`PrescreenReport`]) in the
-    /// report. Defaults to the `GTPIN_PRESCREEN` environment knob.
+    /// report. Off by default; `gtpin explore` sets it from
+    /// `GTPIN_PRESCREEN`.
     /// Pre-screening is derived, never journaled, and never changes
     /// what the sweep simulates or selects, so it is deliberately
     /// *not* fingerprinted: a resume may toggle it freely.
@@ -77,10 +78,10 @@ impl Default for SweepOptions {
             gpu: GpuConfig::hd4000(),
             simpoint: SimpointConfig::default(),
             supervisor: SupervisorConfig::default(),
-            threads: gtpin_par::configured_threads(),
+            threads: 1,
             journal_dir: None,
             resume: false,
-            prescreen: crate::prescreen::prescreen_requested(),
+            prescreen: false,
         }
     }
 }

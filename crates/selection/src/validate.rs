@@ -36,16 +36,7 @@ pub struct ValidationPoint {
 /// Validate a selection against several replayed executions.
 ///
 /// Replays are independent of one another, so they fan out across
-/// `GTPIN_THREADS` workers; points come back in replay order either
-/// way.
-pub fn validate_against(
-    selection: &Evaluation,
-    replays: &[(String, AppData)],
-) -> Vec<ValidationPoint> {
-    validate_against_with_threads(selection, replays, gtpin_par::configured_threads())
-}
-
-/// [`validate_against`] with an explicit worker count; bitwise
+/// `threads` workers; points come back in replay order, bitwise
 /// identical at every count.
 pub fn validate_against_with_threads(
     selection: &Evaluation,
@@ -134,7 +125,7 @@ mod tests {
             ("trial 2".to_string(), d.clone()),
             ("trial 3".to_string(), d),
         ];
-        let points = validate_against(&e, &replays);
+        let points = validate_against_with_threads(&e, &replays, 2);
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].label, "trial 2");
     }

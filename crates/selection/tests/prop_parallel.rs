@@ -1,6 +1,7 @@
 //! Determinism properties of the parallel exploration engine: the
-//! memoized, fanned-out `Exploration::run` must be bitwise identical
-//! to the serial un-memoized path at every thread count.
+//! memoized, fanned-out `Exploration::run_with_threads` must be
+//! bitwise identical to the serial un-memoized path at every thread
+//! count.
 
 use proptest::prelude::*;
 use simpoint::SimpointConfig;

@@ -329,14 +329,6 @@ pub fn request_once(socket: &Path, request: &Request) -> Result<Vec<Response>, S
     Ok(responses)
 }
 
-/// Env knob: retry attempt cap for the one-shot client
-/// (strict-parsed by `validate_env`).
-pub const RETRY_MAX_ENV: &str = "GTPIN_RETRY_MAX";
-
-/// Env knob: retry base backoff in milliseconds (strict-parsed by
-/// `validate_env`).
-pub const RETRY_BASE_ENV: &str = "GTPIN_RETRY_BASE_MS";
-
 /// Deterministic jittered-backoff retry policy for the one-shot
 /// client. Retryable outcomes are transport failures (connection
 /// refused or dropped mid-stream — `ServeError::Io`/`Wire`) and
@@ -360,33 +352,14 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
-            max_attempts: 3,
-            base_ms: 10,
+            max_attempts: gtpin_par::config::DEFAULT_RETRY_MAX,
+            base_ms: gtpin_par::config::DEFAULT_RETRY_BASE_MS,
             seed: 0x6774_7069_6e21,
         }
     }
 }
 
 impl RetryPolicy {
-    /// Read `GTPIN_RETRY_MAX` / `GTPIN_RETRY_BASE_MS` (lenient here;
-    /// `validate_env` strict-parses at CLI start).
-    pub fn from_env() -> RetryPolicy {
-        let mut policy = RetryPolicy::default();
-        if let Some(n) = std::env::var(RETRY_MAX_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-        {
-            policy.max_attempts = n;
-        }
-        if let Some(ms) = std::env::var(RETRY_BASE_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-        {
-            policy.base_ms = ms;
-        }
-        policy
-    }
-
     /// The wait before retry attempt `attempt` (1-based): capped
     /// exponential backoff with deterministic jitter — pure in
     /// `(seed, key, attempt)`.

@@ -42,6 +42,7 @@ use gpu_device::detailed::{DetailedConfig, DetailedSimulator};
 use gpu_device::{Gpu, GpuConfig, GpuGeneration};
 use gtpin_durable::Journal;
 use gtpin_faults::site;
+use gtpin_par::config::DEFAULT_LEASE_VIRTUAL_MS;
 use gtpin_par::{Admission, Outcome, Supervisor, SupervisorConfig};
 use ocl_runtime::runtime::{OclRuntime, Schedule};
 use serde::{Deserialize, Serialize};
@@ -52,19 +53,9 @@ use workloads::{build_program, spec_by_name, Scale};
 use crate::wire::{self, Request, Response};
 use crate::ServeError;
 
-/// Env knob: session lease length in **virtual** milliseconds
-/// (strict-parsed by `validate_env`; `0` disables leases).
-pub const LEASE_ENV: &str = "GTPIN_LEASE_MS";
-
-/// Default lease length in virtual milliseconds — generous relative
-/// to test-scale virtual time, so only genuinely stuck sessions
-/// (whose journal Start outlives this much of everyone else's
-/// virtual work) are reaped.
-pub const DEFAULT_LEASE_VIRTUAL_MS: u64 = 60_000;
-
-/// Daemon configuration. Supervision knobs come from
-/// [`SupervisorConfig::from_env`] (`GTPIN_DEADLINE_MS`,
-/// `GTPIN_BREAKER`, `GTPIN_MAX_TASKS`, `GTPIN_MAX_VIRTUAL_MS`).
+/// Daemon configuration. `gtpin serve` fills the supervision,
+/// thread and lease fields from its [`gtpin_par::RunConfig`]; the
+/// default leaves them at the library defaults.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Unix socket path the daemon binds.
@@ -80,9 +71,9 @@ pub struct ServeConfig {
     pub supervisor: SupervisorConfig,
     /// Worker threads for per-session fan-out: exploration workers,
     /// executor hardware-thread fan-out, and detailed-sim shard
-    /// workers are all pinned here, never to the ambient
-    /// `GTPIN_THREADS`, so a session's behavior (including which
-    /// fault seams it exercises) is a pure function of this config.
+    /// workers are all pinned here, so a session's behavior
+    /// (including which fault seams it exercises) is a pure function
+    /// of this config.
     pub threads: usize,
     /// Session lease length in virtual milliseconds (`GTPIN_LEASE_MS`,
     /// 0 disables): each journaled Start carries a virtual-clock
@@ -101,10 +92,7 @@ impl Default for ServeConfig {
             max_sessions: 8,
             supervisor: SupervisorConfig::default(),
             threads: 1,
-            lease_virtual_ms: std::env::var(LEASE_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(DEFAULT_LEASE_VIRTUAL_MS),
+            lease_virtual_ms: DEFAULT_LEASE_VIRTUAL_MS,
         }
     }
 }
@@ -756,9 +744,8 @@ impl SessionEngine {
         let spec = lookup_spec(app)?;
         let program = build_program(&spec, scale);
         // The engine's configured thread count governs executor
-        // fan-out too — never the ambient GTPIN_THREADS — so fault
-        // accounting (which seams exist depends on worker count) is a
-        // pure function of the ServeConfig.
+        // fan-out too, so fault accounting (which seams exist depends
+        // on worker count) is a pure function of the ServeConfig.
         let mut gpu = GpuConfig::hd4000();
         gpu.exec.threads = self.config.threads.max(1);
         let profiled =
@@ -930,8 +917,7 @@ fn compute_sim(
     // Pin both the functional replay's executor fan-out and the
     // detailed simulator's shard workers to the engine's configured
     // thread count: results are bit-identical at any value by
-    // contract, and the fault seams exercised stay independent of
-    // the ambient GTPIN_THREADS / GTPIN_SIM_THREADS.
+    // contract, and the fault seams exercised follow the config.
     let mut gpu_config = GpuConfig::hd4000();
     gpu_config.exec.threads = threads;
     let mut rt = OclRuntime::new(Gpu::new(gpu_config));

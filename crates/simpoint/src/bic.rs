@@ -48,7 +48,7 @@ pub(crate) fn bic_score_dims(dims: usize, weights: &[f64], result: &KmeansResult
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kmeans::kmeans;
+    use crate::kmeans::kmeans_with_threads;
 
     fn blobs(centers: &[f64], per: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut pts = Vec::new();
@@ -64,8 +64,8 @@ mod tests {
     #[test]
     fn bic_prefers_true_cluster_count() {
         let (pts, w) = blobs(&[0.0, 50.0, 100.0], 12);
-        let b1 = bic_score(&pts, &w, &kmeans(&pts, &w, 1, 7, 100));
-        let b3 = bic_score(&pts, &w, &kmeans(&pts, &w, 3, 7, 100));
+        let b1 = bic_score(&pts, &w, &kmeans_with_threads(&pts, &w, 1, 7, 100, 1));
+        let b3 = bic_score(&pts, &w, &kmeans_with_threads(&pts, &w, 3, 7, 100, 1));
         assert!(
             b3 > b1,
             "three real blobs: BIC(3)={b3} must beat BIC(1)={b1}"
@@ -79,8 +79,8 @@ mod tests {
         // clusters strictly worse.
         let pts = vec![vec![5.0, 5.0]; 24];
         let w = vec![1.0; 24];
-        let b1 = bic_score(&pts, &w, &kmeans(&pts, &w, 1, 7, 100));
-        let b6 = bic_score(&pts, &w, &kmeans(&pts, &w, 6, 7, 100));
+        let b1 = bic_score(&pts, &w, &kmeans_with_threads(&pts, &w, 1, 7, 100, 1));
+        let b6 = bic_score(&pts, &w, &kmeans_with_threads(&pts, &w, 6, 7, 100, 1));
         assert!(
             b1 >= b6,
             "equal fit: BIC(1)={b1} should not lose to BIC(6)={b6}"
@@ -91,7 +91,7 @@ mod tests {
     fn degenerate_inputs_are_finite_or_neg_infinity() {
         let pts = vec![vec![1.0]];
         let w = vec![1.0];
-        let r = kmeans(&pts, &w, 1, 0, 10);
+        let r = kmeans_with_threads(&pts, &w, 1, 0, 10, 1);
         let b = bic_score(&pts, &w, &r);
         assert!(b == f64::NEG_INFINITY || b.is_finite());
     }

@@ -64,58 +64,36 @@ impl KmeansResult {
     }
 }
 
-/// Run weighted k-means.
+/// Point count below which the Lloyd assignment step stays serial:
+/// under this, thread spawn cost exceeds the distance arithmetic.
+pub const PAR_MIN_POINTS: usize = 1024;
+
+/// Run weighted k-means with `threads` workers for the Lloyd
+/// assignment step (and the final assignment/SSE pass).
 ///
 /// `weights` give each point's importance (interval instruction
 /// counts, in SimPoint's use). Empty clusters are reseeded to the
 /// point farthest from its centroid. Requesting more clusters than
 /// points clamps `k`.
 ///
-/// # Example
-///
-/// ```
-/// use simpoint::kmeans;
-///
-/// let points = vec![vec![0.0], vec![0.1], vec![9.0], vec![9.1]];
-/// let weights = vec![1.0; 4];
-/// let result = kmeans(&points, &weights, 2, 42, 100);
-/// assert_eq!(result.k(), 2);
-/// assert_eq!(result.assignments[0], result.assignments[1]);
-/// assert_ne!(result.assignments[0], result.assignments[2]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `points` is empty or `weights.len() != points.len()`.
-pub fn kmeans(
-    points: &[Vec<f64>],
-    weights: &[f64],
-    k: usize,
-    seed: u64,
-    max_iters: usize,
-) -> KmeansResult {
-    kmeans_with_threads(
-        points,
-        weights,
-        k,
-        seed,
-        max_iters,
-        gtpin_par::configured_threads(),
-    )
-}
-
-/// Point count below which the Lloyd assignment step stays serial:
-/// under this, thread spawn cost exceeds the distance arithmetic.
-pub const PAR_MIN_POINTS: usize = 1024;
-
-/// [`kmeans`] with an explicit worker count for the Lloyd assignment
-/// step (and the final assignment/SSE pass).
-///
 /// Only the per-point `nearest` searches are chunked across threads —
 /// each is pure in the previous iteration's centroids. The centroid
 /// update (the floating-point accumulation) and the k-means++ seeding
 /// (a sequential RNG dependency chain) stay serial in point order, so
 /// the result is bitwise identical at every thread count.
+///
+/// # Example
+///
+/// ```
+/// use simpoint::kmeans_with_threads;
+///
+/// let points = vec![vec![0.0], vec![0.1], vec![9.0], vec![9.1]];
+/// let weights = vec![1.0; 4];
+/// let result = kmeans_with_threads(&points, &weights, 2, 42, 100, 1);
+/// assert_eq!(result.k(), 2);
+/// assert_eq!(result.assignments[0], result.assignments[1]);
+/// assert_ne!(result.assignments[0], result.assignments[2]);
+/// ```
 ///
 /// # Panics
 ///
@@ -368,7 +346,7 @@ mod tests {
     #[test]
     fn separates_two_blobs() {
         let (pts, w) = two_blobs();
-        let r = kmeans(&pts, &w, 2, 7, 100);
+        let r = kmeans_with_threads(&pts, &w, 2, 7, 100, 1);
         assert_eq!(r.k(), 2);
         // All even indices together, all odd together.
         let a = r.assignments[0];
@@ -383,15 +361,15 @@ mod tests {
     #[test]
     fn k_clamped_to_point_count() {
         let pts = vec![vec![1.0], vec![2.0]];
-        let r = kmeans(&pts, &[1.0, 1.0], 10, 1, 50);
+        let r = kmeans_with_threads(&pts, &[1.0, 1.0], 10, 1, 50, 1);
         assert!(r.k() <= 2);
     }
 
     #[test]
     fn deterministic_under_seed() {
         let (pts, w) = two_blobs();
-        let a = kmeans(&pts, &w, 3, 42, 100);
-        let b = kmeans(&pts, &w, 3, 42, 100);
+        let a = kmeans_with_threads(&pts, &w, 3, 42, 100, 1);
+        let b = kmeans_with_threads(&pts, &w, 3, 42, 100, 1);
         assert_eq!(a.assignments, b.assignments);
     }
 
@@ -400,7 +378,7 @@ mod tests {
         // One heavy point and one light point, k=1: centroid near
         // the heavy point.
         let pts = vec![vec![0.0], vec![10.0]];
-        let r = kmeans(&pts, &[9.0, 1.0], 1, 3, 50);
+        let r = kmeans_with_threads(&pts, &[9.0, 1.0], 1, 3, 50, 1);
         assert!(
             (r.centroids[0][0] - 1.0).abs() < 1e-9,
             "weighted mean is 1.0"
@@ -410,7 +388,7 @@ mod tests {
     #[test]
     fn identical_points_fold_into_one_effective_cluster() {
         let pts = vec![vec![5.0, 5.0]; 8];
-        let r = kmeans(&pts, &[1.0; 8], 3, 11, 50);
+        let r = kmeans_with_threads(&pts, &[1.0; 8], 3, 11, 50, 1);
         assert_eq!(r.sse, 0.0);
         for a in &r.assignments {
             assert!(*a < r.k());
@@ -420,7 +398,7 @@ mod tests {
     #[test]
     fn members_partitions_all_points() {
         let (pts, w) = two_blobs();
-        let r = kmeans(&pts, &w, 2, 5, 100);
+        let r = kmeans_with_threads(&pts, &w, 2, 5, 100, 1);
         let total: usize = (0..r.k()).map(|c| r.members(c).len()).sum();
         assert_eq!(total, pts.len());
     }
@@ -437,7 +415,7 @@ mod tests {
         ];
         for k in 1..=4 {
             for seed in 0..16 {
-                let r = kmeans(&pts, &[1.0; 4], k, seed, 20);
+                let r = kmeans_with_threads(&pts, &[1.0; 4], k, seed, 20, 1);
                 assert_eq!(r.assignments.len(), pts.len());
                 assert!(r.assignments.iter().all(|&a| a < r.k()));
             }
@@ -459,6 +437,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one point")]
     fn empty_input_panics() {
-        kmeans(&[], &[], 2, 0, 10);
+        kmeans_with_threads(&[], &[], 2, 0, 10, 1);
     }
 }

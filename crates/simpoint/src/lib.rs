@@ -10,7 +10,7 @@
 //! 1. build one sparse [`FeatureVector`] per execution interval,
 //! 2. L1-normalize and randomly [`project`](project::project) to a
 //!    small dense space (15 dims),
-//! 3. run weighted [`kmeans`](kmeans::kmeans) for k = 1..=max_k
+//! 3. run weighted [`kmeans`](kmeans::kmeans_with_threads) for k = 1..=max_k
 //!    (max 10 in all the paper's experiments),
 //! 4. pick k by [`bic_score`](bic::bic_score) (smallest k within a
 //!    fraction of the best), and
@@ -41,7 +41,7 @@ pub mod project;
 pub mod simpoint;
 pub mod vector;
 
-pub use kmeans::{kmeans, kmeans_with_threads, KmeansResult, PAR_MIN_POINTS};
+pub use kmeans::{kmeans_with_threads, KmeansResult, PAR_MIN_POINTS};
 pub use project::{project, DEFAULT_DIMS};
 pub use simpoint::{
     select, select_filtered, select_filtered_with_threads, select_with_threads, SelectError,

@@ -127,12 +127,15 @@ impl std::error::Error for SelectError {}
 ///
 /// Returns [`SelectError`] on empty input, length mismatch, or
 /// all-zero weights.
+///
+/// This is the serial entry point; [`select_with_threads`] fans the
+/// same computation out, bit for bit.
 pub fn select(
     vectors: &[FeatureVector],
     weights: &[u64],
     config: &SimpointConfig,
 ) -> Result<Selection, SelectError> {
-    select_with_threads(vectors, weights, config, gtpin_par::configured_threads())
+    select_with_threads(vectors, weights, config, 1)
 }
 
 /// [`select`] with an explicit worker count.
@@ -292,7 +295,8 @@ pub const QUARANTINED: usize = usize::MAX;
 /// Pick indices and assignments are reported in the *original*
 /// interval numbering; quarantined intervals get the [`QUARANTINED`]
 /// sentinel assignment. With an all-false mask this is exactly
-/// [`select`] — same decisions, bit for bit.
+/// [`select`] — same decisions, bit for bit. Serial, like [`select`];
+/// [`select_filtered_with_threads`] takes a worker count.
 ///
 /// # Errors
 ///
@@ -305,13 +309,7 @@ pub fn select_filtered(
     quarantined: &[bool],
     config: &SimpointConfig,
 ) -> Result<Selection, SelectError> {
-    select_filtered_with_threads(
-        vectors,
-        weights,
-        quarantined,
-        config,
-        gtpin_par::configured_threads(),
-    )
+    select_filtered_with_threads(vectors, weights, quarantined, config, 1)
 }
 
 /// [`select_filtered`] with an explicit worker count.

@@ -21,6 +21,7 @@ use gtpin_suite::device::cache::CacheConfig;
 use gtpin_suite::device::checkpoint::{CheckpointLibrary, LaunchDescriptor};
 use gtpin_suite::device::detailed::{DetailedConfig, DetailedSimulator};
 use gtpin_suite::device::{Gpu, GpuConfig, GpuGeneration, GpuTopology};
+use gtpin_suite::par::available_threads;
 use gtpin_suite::runtime::runtime::{OclRuntime, Schedule};
 use gtpin_suite::selection::{profile_app, Exploration};
 use gtpin_suite::simpoint::SimpointConfig;
@@ -35,7 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profiled = profile_app(&program, GpuConfig::hd4000(), 1)?;
     let data = &profiled.data;
     let approx = gtpin_suite::selection::default_approx_target(data);
-    let exploration = Exploration::run(data, approx, &SimpointConfig::default());
+    let exploration = Exploration::run_with_threads(
+        data,
+        approx,
+        &SimpointConfig::default(),
+        available_threads(),
+    );
     let selection = exploration.min_error().expect("configurations evaluated");
     println!(
         "selection: {} — {} representatives, {:.2}% of instructions, native error {:.2}%",

@@ -8,6 +8,7 @@
 //! ```
 
 use gtpin_suite::device::GpuConfig;
+use gtpin_suite::par::available_threads;
 use gtpin_suite::selection::{profile_app, Exploration};
 use gtpin_suite::simpoint::SimpointConfig;
 use gtpin_suite::workloads::{build_program, spec_by_name, Scale};
@@ -37,7 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "exploring 30 interval/feature configurations over {} invocations ...",
         data.invocations.len()
     );
-    let exploration = Exploration::run(data, approx, &SimpointConfig::default());
+    let exploration = Exploration::run_with_threads(
+        data,
+        approx,
+        &SimpointConfig::default(),
+        available_threads(),
+    );
 
     let best = exploration.min_error().expect("configurations evaluated");
     println!();

@@ -129,7 +129,7 @@ use gtpin_suite::durable::Journal;
 use gtpin_suite::faults;
 use gtpin_suite::gtpin::{AppCharacterization, GtPin, RewriteConfig};
 use gtpin_suite::isa::disasm::disassemble_flat;
-use gtpin_suite::par::SupervisorConfig;
+use gtpin_suite::par::RunConfig;
 use gtpin_suite::runtime::runtime::{OclRuntime, Schedule};
 use gtpin_suite::selection::{profile_app, run_sweep, Exploration, SweepOptions};
 use gtpin_suite::simpoint::SimpointConfig;
@@ -140,32 +140,34 @@ use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Malformed GTPIN_* numeric knobs fail loudly before any work
-    // runs — the library getters clamp leniently, but a user who set
-    // GTPIN_THREADS=four or GTPIN_DEADLINE_MS=fast deserves an
-    // error, not a silently ignored knob.
-    if let Err(e) = gtpin_suite::par::validate_env() {
-        let e: GtPinError = e.into();
-        eprintln!("error[{}]: {e}", e.kind());
-        std::process::exit(1);
-    }
+    // Every GTPIN_* knob is parsed here, once; commands get explicit
+    // values from it. A malformed knob (GTPIN_THREADS=four,
+    // GTPIN_DEADLINE_MS=fast) fails before any work runs.
+    let config = match RunConfig::from_env() {
+        Ok(config) => config,
+        Err(e) => {
+            let e: GtPinError = e.into();
+            eprintln!("error[{}]: {e}", e.kind());
+            std::process::exit(1);
+        }
+    };
     let result = match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
-        Some("run") => cmd_run(&args[1..]),
-        Some("select") => cmd_select(&args[1..]),
-        Some("explore") => cmd_explore(&args[1..]),
-        Some("sim") => cmd_sim(&args[1..]),
+        Some("run") => cmd_run(&args[1..], &config),
+        Some("select") => cmd_select(&args[1..], &config),
+        Some("explore") => cmd_explore(&args[1..], &config),
+        Some("sim") => cmd_sim(&args[1..], &config),
         Some("disasm") => cmd_disasm(&args[1..]),
         Some("lint") => cmd_lint(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
+        Some("analyze") => cmd_analyze(&args[1..], &config),
         Some("luxmark") => cmd_luxmark(),
-        Some("obs-report") => cmd_obs_report(&args[1..]),
+        Some("obs-report") => cmd_obs_report(&args[1..], &config),
         Some("obs-verify") => cmd_obs_verify(&args[1..]),
         Some("obs-convert") => cmd_obs_convert(&args[1..]),
         Some("obs-timeline") => cmd_obs_timeline(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("request") => cmd_request(&args[1..]),
+        Some("chaos") => cmd_chaos(&args[1..], &config),
+        Some("serve") => cmd_serve(&args[1..], &config),
+        Some("request") => cmd_request(&args[1..], &config),
         _ => {
             eprintln!(
                 "usage: gtpin <list|run|select|explore|sim|disasm|lint|analyze|luxmark|obs-report|obs-verify|obs-convert|obs-timeline|chaos|serve|request> [args]"
@@ -186,6 +188,14 @@ fn main() {
 }
 
 type CliResult = Result<(), GtPinError>;
+
+/// The paper's HD 4000 with the executor fanning out across
+/// `GTPIN_THREADS` workers.
+fn hd4000(config: &RunConfig) -> GpuConfig {
+    let mut gpu = GpuConfig::hd4000();
+    gpu.exec.threads = config.threads;
+    gpu
+}
 
 fn cmd_list() -> CliResult {
     for spec in all_specs() {
@@ -255,7 +265,7 @@ struct RunRecord {
     profile_json: String,
 }
 
-fn cmd_run(args: &[String]) -> CliResult {
+fn cmd_run(args: &[String], run_config: &RunConfig) -> CliResult {
     let spec = parse_app(args)?;
     let scale = parse_scale(args)?;
     let config = RewriteConfig {
@@ -295,7 +305,7 @@ fn cmd_run(args: &[String]) -> CliResult {
         }
         None => {
             let program = build_program(&spec, scale);
-            let mut gpu = Gpu::new(GpuConfig::hd4000());
+            let mut gpu = Gpu::new(hd4000(run_config));
             let gtpin = GtPin::new(config);
             gtpin.attach(&mut gpu);
             let mut rt = OclRuntime::new(gpu);
@@ -334,14 +344,15 @@ fn cmd_run(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_select(args: &[String]) -> CliResult {
+fn cmd_select(args: &[String], config: &RunConfig) -> CliResult {
     let spec = parse_app(args)?;
     let threshold: f64 = args.get(1).map(|s| s.parse()).transpose()?.unwrap_or(3.0);
     let program = build_program(&spec, Scale::Default);
-    let profiled = profile_app(&program, GpuConfig::hd4000(), 1)?;
+    let profiled = profile_app(&program, hd4000(config), 1)?;
     let data = &profiled.data;
     let approx = gtpin_suite::selection::default_approx_target(data);
-    let ex = Exploration::run(data, approx, &SimpointConfig::default());
+    let ex =
+        Exploration::run_with_threads(data, approx, &SimpointConfig::default(), config.threads);
 
     let best = ex.min_error().ok_or("no configurations evaluated")?;
     println!(
@@ -379,7 +390,7 @@ fn cmd_select(args: &[String]) -> CliResult {
 /// back to `GTPIN_THREADS`); stdout is bit-identical at every count,
 /// which is exactly what the `scripts/check.sh` serial-vs-sharded
 /// gate diffs.
-fn cmd_sim(args: &[String]) -> CliResult {
+fn cmd_sim(args: &[String], config: &RunConfig) -> CliResult {
     use gtpin_suite::device::detailed::{DetailedConfig, DetailedSimulator};
     use gtpin_suite::device::GpuGeneration;
 
@@ -397,17 +408,18 @@ fn cmd_sim(args: &[String]) -> CliResult {
         .unwrap_or(usize::MAX);
 
     let program = build_program(&spec, scale);
-    let mut rt = OclRuntime::new(Gpu::new(GpuConfig::hd4000()));
+    let mut rt = OclRuntime::new(Gpu::new(hd4000(config)));
     rt.run(&program, Schedule::Replay)?;
     let gpu = rt.into_device();
 
     let topo = GpuGeneration::IvyBridgeHd4000.topology();
-    let mut sim = DetailedSimulator::new(topo, 1.15e9, DetailedConfig::default());
+    let mut sim = DetailedSimulator::new(topo, 1.15e9, DetailedConfig::default())
+        .with_workers(config.sim_threads);
     // Worker count on stderr only: stdout must diff clean across
     // thread counts.
     eprintln!(
         "sim: {} workers (GTPIN_SIM_THREADS / GTPIN_THREADS)",
-        gtpin_suite::par::configured_sim_threads()
+        config.sim_threads
     );
 
     let launches = gpu.launches();
@@ -474,7 +486,7 @@ fn positional_args<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str>
     out
 }
 
-fn cmd_explore(args: &[String]) -> CliResult {
+fn cmd_explore(args: &[String], config: &RunConfig) -> CliResult {
     let threshold: f64 = flag_value(args, "--threshold")?
         .map(str::parse)
         .transpose()?
@@ -500,9 +512,12 @@ fn cmd_explore(args: &[String]) -> CliResult {
 
     let opts = SweepOptions {
         threshold_pct: threshold,
-        supervisor: SupervisorConfig::from_env(),
+        gpu: hd4000(config),
+        supervisor: config.supervisor.clone(),
+        threads: config.threads,
         journal_dir,
         resume,
+        prescreen: config.prescreen,
         ..SweepOptions::default()
     };
     let outcome = run_sweep(&programs, &opts)?;
@@ -634,7 +649,7 @@ fn cmd_lint(args: &[String]) -> CliResult {
 /// kernel of an app or the whole suite. Stdout is deterministic and
 /// thread-count invariant; the closing digest line is what the
 /// `scripts/check.sh` gate pins.
-fn cmd_analyze(args: &[String]) -> CliResult {
+fn cmd_analyze(args: &[String], config: &RunConfig) -> CliResult {
     use gtpin_suite::analyze::analyze_kernels;
     use gtpin_suite::device::jit::compile_kernel;
     use gtpin_suite::device::GpuGeneration;
@@ -646,7 +661,6 @@ fn cmd_analyze(args: &[String]) -> CliResult {
             vec![parse_app(args)?]
         };
     let params = GpuGeneration::IvyBridgeHd4000.topology().cost_params();
-    let threads = gtpin_suite::par::configured_threads();
 
     let mut digest = 0xCBF2_9CE4_8422_2325u64;
     let mut kernels = 0usize;
@@ -661,7 +675,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
             .iter()
             .map(compile_kernel)
             .collect::<Result<_, _>>()?;
-        let reports = analyze_kernels(&bins, &params, threads)?;
+        let reports = analyze_kernels(&bins, &params, config.threads)?;
         println!("== {} ==", spec.name);
         digest = fnv_fold(digest, spec.name.as_bytes());
         for r in &reports {
@@ -699,7 +713,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_obs_report(args: &[String]) -> CliResult {
+fn cmd_obs_report(args: &[String], config: &RunConfig) -> CliResult {
     use gtpin_suite::obs;
     // Offline mode: summarize an existing binary journal without
     // running anything.
@@ -722,9 +736,14 @@ fn cmd_obs_report(args: &[String]) -> CliResult {
     let spec = spec_by_name(name).ok_or_else(|| format!("unknown application {name}"))?;
 
     let program = build_program(&spec, Scale::Default);
-    let profiled = profile_app(&program, GpuConfig::hd4000(), 1)?;
+    let profiled = profile_app(&program, hd4000(config), 1)?;
     let approx = gtpin_suite::selection::default_approx_target(&profiled.data);
-    let ex = Exploration::run(&profiled.data, approx, &SimpointConfig::default());
+    let ex = Exploration::run_with_threads(
+        &profiled.data,
+        approx,
+        &SimpointConfig::default(),
+        config.threads,
+    );
 
     println!(
         "telemetry for {} ({} invocations profiled, {} configurations evaluated)\n",
@@ -826,7 +845,7 @@ fn cmd_luxmark() -> CliResult {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> CliResult {
+fn cmd_serve(args: &[String], config: &RunConfig) -> CliResult {
     use gtpin_suite::serve::ServeConfig;
     let socket = flag_value(args, "--socket")?
         .map(PathBuf::from)
@@ -841,15 +860,14 @@ fn cmd_serve(args: &[String]) -> CliResult {
         journal_dir,
         resume,
         max_sessions,
-        supervisor: SupervisorConfig::from_env(),
-        threads: gtpin_suite::par::configured_threads(),
-        // Lease length (GTPIN_LEASE_MS) comes from the default.
-        ..ServeConfig::default()
+        supervisor: config.supervisor.clone(),
+        threads: config.threads,
+        lease_virtual_ms: config.lease_virtual_ms,
     })?;
     Ok(())
 }
 
-fn cmd_request(args: &[String]) -> CliResult {
+fn cmd_request(args: &[String], config: &RunConfig) -> CliResult {
     use gtpin_suite::serve::wire::{Request, Response};
     let kind = args
         .first()
@@ -899,7 +917,11 @@ fn cmd_request(args: &[String]) -> CliResult {
     // Transient failures (dead socket, torn frame, busy shed) retry
     // behind deterministic seeded jittered backoff; terminal typed
     // errors come back on the first attempt they are observed.
-    let policy = gtpin_suite::serve::RetryPolicy::from_env();
+    let policy = gtpin_suite::serve::RetryPolicy {
+        max_attempts: config.retry_max,
+        base_ms: config.retry_base_ms,
+        ..Default::default()
+    };
     let responses = gtpin_suite::serve::request_with_retry(&socket, &request, &policy)?;
     for response in responses {
         match response {
@@ -913,10 +935,8 @@ fn cmd_request(args: &[String]) -> CliResult {
     Err("connection closed before a terminal response".into())
 }
 
-fn cmd_chaos(args: &[String]) -> CliResult {
-    use gtpin_suite::chaos::{
-        run_chaos, run_pinned, self_test, ChaosConfig, CHAOS_MAX_RESTARTS_ENV, CHAOS_SEED_ENV,
-    };
+fn cmd_chaos(args: &[String], config: &RunConfig) -> CliResult {
+    use gtpin_suite::chaos::{run_chaos, run_pinned, self_test, ChaosConfig};
 
     if args.iter().any(|a| a == "--self-test") {
         let (line, ok) = self_test();
@@ -928,33 +948,24 @@ fn cmd_chaos(args: &[String]) -> CliResult {
     }
 
     // A flag wins over its env knob, which wins over the library
-    // default; `validate_env` has already strict-parsed both knobs.
+    // default.
     let defaults = ChaosConfig::default();
-    let flag_or_env = |flag: &str, env: &str, default: u64| -> Result<u64, GtPinError> {
-        match flag_value(args, flag)? {
-            Some(v) => Ok(v.parse()?),
-            None => Ok(std::env::var(env)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(default)),
-        }
+    let flag_u64 = |flag: &str| -> Result<Option<u64>, GtPinError> {
+        Ok(flag_value(args, flag)?.map(str::parse).transpose()?)
     };
-    let seeds: u64 = flag_value(args, "--seeds")?
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(defaults.seeds);
-    let seed_base = flag_or_env("--seed-base", CHAOS_SEED_ENV, defaults.seed_base)?;
-    let max_restarts = flag_or_env(
-        "--max-restarts",
-        CHAOS_MAX_RESTARTS_ENV,
-        defaults.max_restarts,
-    )?;
+    let seeds = flag_u64("--seeds")?.unwrap_or(defaults.seeds);
+    let seed_base = flag_u64("--seed-base")?
+        .or(config.chaos_seed)
+        .unwrap_or(defaults.seed_base);
+    let max_restarts = flag_u64("--max-restarts")?
+        .or(config.chaos_max_restarts)
+        .unwrap_or(defaults.max_restarts);
     let (journal_dir, resume) = parse_journal_flags(args)?;
     let pinned = args.iter().any(|a| a == "--pinned");
     if pinned && (journal_dir.is_some() || args.iter().any(|a| a == "--seeds")) {
         return Err("chaos --pinned runs a fixed set; drop --seeds/--journal/--resume".into());
     }
-    let config = ChaosConfig {
+    let chaos = ChaosConfig {
         seeds,
         seed_base,
         journal_dir,
@@ -963,9 +974,9 @@ fn cmd_chaos(args: &[String]) -> CliResult {
         ..defaults
     };
     let report = if pinned {
-        run_pinned(&config)
+        run_pinned(&chaos)
     } else {
-        run_chaos(&config)?
+        run_chaos(&chaos)?
     };
     print!("{}", report.render());
     if report.failures() == 0 {

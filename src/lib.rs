@@ -12,7 +12,7 @@
 //!   detailed simulator),
 //! * [`gtpin`] — the GT-Pin binary instrumentation engine and tools,
 //! * [`analyze`] — CFG dataflow analyses, kernel lints, and the
-//!   instrumentation-safety verifier (the `GTPIN_VERIFY` gate),
+//!   instrumentation-safety verifier the engine runs on every rewrite,
 //! * [`obs`] — the `GTPIN_OBS` telemetry registry and exporters,
 //! * [`faults`] — the `GTPIN_FAULTS` deterministic fault-injection
 //!   registry,
@@ -23,6 +23,8 @@
 //! * [`chaos`] — the seeded end-to-end chaos harness behind
 //!   `gtpin chaos` (scenario generation, kill/resume schedules,
 //!   invariant oracles, shrinking),
+//! * [`par`] — deterministic fan-out, the supervisor, and the one
+//!   `RunConfig` every binary parses its `GTPIN_*` knobs into,
 //! * [`simpoint`] — SimPoint-style clustering,
 //! * [`selection`] — simulation subset selection,
 //! * [`workloads`] — the 25 benchmark applications.

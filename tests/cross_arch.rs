@@ -3,6 +3,7 @@
 //! faster part (LuxMark 269 vs 351 in the paper).
 
 use gtpin_suite::device::GpuConfig;
+use gtpin_suite::par::available_threads;
 use gtpin_suite::selection::{cross_error_pct, profile_app, replay_timings, Exploration};
 use gtpin_suite::simpoint::SimpointConfig;
 use gtpin_suite::workloads::{build_program, luxmark_score, spec_by_name, Scale};
@@ -26,7 +27,12 @@ fn ivy_bridge_selections_predict_haswell() {
         let profiled = profile_app(&program, GpuConfig::hd4000(), 5).expect("profiles");
         let data = &profiled.data;
         let approx = gtpin_suite::selection::default_approx_target(data);
-        let ex = Exploration::run(data, approx, &SimpointConfig::default());
+        let ex = Exploration::run_with_threads(
+            data,
+            approx,
+            &SimpointConfig::default(),
+            available_threads(),
+        );
         let best = ex.min_error().expect("evaluations exist");
 
         let timing = replay_timings(&profiled.recording, GpuConfig::hd4600().with_trial_seed(9))

@@ -4,6 +4,7 @@
 
 use gtpin_suite::device::detailed::{DetailedConfig, DetailedSimulator};
 use gtpin_suite::device::{Gpu, GpuConfig, GpuGeneration};
+use gtpin_suite::par::available_threads;
 use gtpin_suite::runtime::runtime::{OclRuntime, Schedule};
 use gtpin_suite::selection::{profile_app, Exploration};
 use gtpin_suite::simpoint::SimpointConfig;
@@ -34,7 +35,12 @@ fn subset_predicts_full_detailed_simulation() {
     let profiled = profile_app(&program, GpuConfig::hd4000(), 1).expect("profiles");
     let data = &profiled.data;
     let approx = gtpin_suite::selection::default_approx_target(data);
-    let ex = Exploration::run(data, approx, &SimpointConfig::default());
+    let ex = Exploration::run_with_threads(
+        data,
+        approx,
+        &SimpointConfig::default(),
+        available_threads(),
+    );
     let best = ex.min_error().expect("evaluations exist");
 
     // Launch descriptors + binaries for the simulator.

@@ -4,6 +4,7 @@
 //! regenerable.
 
 use gtpin_suite::device::GpuConfig;
+use gtpin_suite::par::available_threads;
 use gtpin_suite::selection::{profile_app, Exploration};
 use gtpin_suite::simpoint::SimpointConfig;
 use gtpin_suite::workloads::{build_program, spec_by_name, Scale};
@@ -24,11 +25,16 @@ fn explorations_are_deterministic() {
     let program = build_program(&spec, Scale::Test);
     let profiled = profile_app(&program, GpuConfig::hd4000(), 2).expect("profiles");
     let run = || {
-        Exploration::run(&profiled.data, 50_000, &SimpointConfig::default())
-            .evaluations
-            .iter()
-            .map(|e| (e.config.to_string(), e.error_pct.to_bits(), e.selection.k))
-            .collect::<Vec<_>>()
+        Exploration::run_with_threads(
+            &profiled.data,
+            50_000,
+            &SimpointConfig::default(),
+            available_threads(),
+        )
+        .evaluations
+        .iter()
+        .map(|e| (e.config.to_string(), e.error_pct.to_bits(), e.selection.k))
+        .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());
 }
@@ -56,7 +62,12 @@ fn serde_round_trips_the_key_artifacts() {
     let back: subset_select::AppData = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(profiled.data, back);
 
-    let ex = Exploration::run(&profiled.data, 50_000, &SimpointConfig::default());
+    let ex = Exploration::run_with_threads(
+        &profiled.data,
+        50_000,
+        &SimpointConfig::default(),
+        available_threads(),
+    );
     let best = ex.min_error().expect("evaluations exist");
     let json = serde_json::to_string(best).expect("serializes");
     let back: subset_select::Evaluation = serde_json::from_str(&json).expect("deserializes");

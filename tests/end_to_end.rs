@@ -3,6 +3,7 @@
 //! features → SimPoint → selection → SPI projection.
 
 use gtpin_suite::device::GpuConfig;
+use gtpin_suite::par::available_threads;
 use gtpin_suite::selection::{build_intervals, profile_app, Exploration, IntervalScheme};
 use gtpin_suite::simpoint::SimpointConfig;
 use gtpin_suite::workloads::{build_program, spec_by_name, Scale};
@@ -14,7 +15,12 @@ fn explore(name: &str) -> (Exploration, subset_select::AppData) {
     let data = profiled.data;
     let approx = gtpin_suite::selection::default_approx_target(&data);
     (
-        Exploration::run(&data, approx, &SimpointConfig::default()),
+        Exploration::run_with_threads(
+            &data,
+            approx,
+            &SimpointConfig::default(),
+            available_threads(),
+        ),
         data,
     )
 }

@@ -3,6 +3,7 @@
 //! on top (Section V-E).
 
 use gtpin_suite::device::{Gpu, GpuConfig};
+use gtpin_suite::par::available_threads;
 use gtpin_suite::runtime::cofluent::Recording;
 use gtpin_suite::runtime::runtime::{OclRuntime, Schedule};
 use gtpin_suite::selection::{cross_error_pct, profile_app, replay_timings, Exploration};
@@ -55,7 +56,12 @@ fn one_trials_selections_hold_across_trials() {
     let profiled = profile_app(&program, GpuConfig::hd4000(), 7).expect("profiles");
     let data = &profiled.data;
     let approx = gtpin_suite::selection::default_approx_target(data);
-    let ex = Exploration::run(data, approx, &SimpointConfig::default());
+    let ex = Exploration::run_with_threads(
+        data,
+        approx,
+        &SimpointConfig::default(),
+        available_threads(),
+    );
     let best = ex.min_error().expect("evaluations exist");
 
     for trial in 2..=5u64 {
@@ -81,7 +87,12 @@ fn cross_frequency_validation_stays_accurate() {
     let profiled = profile_app(&program, GpuConfig::hd4000(), 3).expect("profiles");
     let data = &profiled.data;
     let approx = gtpin_suite::selection::default_approx_target(data);
-    let ex = Exploration::run(data, approx, &SimpointConfig::default());
+    let ex = Exploration::run_with_threads(
+        data,
+        approx,
+        &SimpointConfig::default(),
+        available_threads(),
+    );
     let best = ex.min_error().expect("evaluations exist");
 
     for freq in [1.0e9, 0.7e9, 0.35e9] {
