@@ -22,8 +22,6 @@ use gen_isa::Instruction;
 /// `gpu_device::GpuTopology::cost_params()` or directly in tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
-    /// Clock frequency the cycle total divides by to reach seconds.
-    pub frequency_hz: f64,
     /// Issue cycles per [`OpcodeCategory`], indexed by
     /// [`OpcodeCategory::index`]. The send entry is the *base* issue
     /// cost; payload cycles are added from the descriptor.
@@ -157,18 +155,6 @@ impl StaticCost {
             params: *params,
         }
     }
-
-    /// Estimated seconds per *dynamic* instruction: cycles divided by
-    /// the trip-expanded instruction count, over the device clock.
-    /// This is the quantity the pre-screening pass scales by measured
-    /// dynamic instruction counts.
-    pub fn seconds_per_instruction(&self) -> f64 {
-        if self.static_instructions == 0 {
-            return 0.0;
-        }
-        (self.cycles_per_invocation as f64 / self.static_instructions as f64)
-            / self.params.frequency_hz
-    }
 }
 
 /// Convenience: resolve trips on `forest` from `ranges`, then price.
@@ -201,7 +187,6 @@ mod tests {
     /// Flat tables so expectations stay arithmetic.
     pub(crate) fn test_params() -> CostParams {
         CostParams {
-            frequency_hz: 1_000_000_000.0,
             issue_cycles: [1, 1, 2, 2, 16],
             extended_math_cycles: 6,
             send_bytes_per_cycle: 16,
@@ -280,6 +265,5 @@ mod tests {
         assert_eq!(cost.cycles_per_invocation, 45);
         // 2 + 3×8 + 1 instructions expanded.
         assert_eq!(cost.static_instructions, 27);
-        assert!(cost.seconds_per_instruction() > 0.0);
     }
 }

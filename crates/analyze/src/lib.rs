@@ -19,8 +19,8 @@
 //!   interval analysis over GRF registers) and [`cost::StaticCost`]
 //!   (per-category cycle pricing over the loop forest), aggregated
 //!   per kernel by [`report::KernelReport`] with a deterministic
-//!   digest. This is the static tier below interval replay: the
-//!   pre-screening pass and `gtpin analyze` both consume it.
+//!   digest. `gtpin analyze` prints it, and the serve daemon's
+//!   `analyze` session charges its cycle total as virtual cost.
 //! * **Lints** — [`lint::lint_kernel`] emits [`lint::Diagnostic`]s
 //!   with stable `GTnnn` codes and severities, renderable for humans
 //!   and serializable to JSON. See the code table in [`lint`].

@@ -332,7 +332,6 @@ mod tests {
 
     fn params() -> CostParams {
         CostParams {
-            frequency_hz: 1_000_000_000.0,
             issue_cycles: [1, 1, 2, 2, 16],
             extended_math_cycles: 6,
             send_bytes_per_cycle: 16,

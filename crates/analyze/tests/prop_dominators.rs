@@ -173,7 +173,6 @@ proptest! {
             })
             .collect();
         let cost = CostParams {
-            frequency_hz: 1_000_000_000.0,
             issue_cycles: [1, 1, 2, 2, 32],
             extended_math_cycles: 6,
             send_bytes_per_cycle: 10,

@@ -295,7 +295,6 @@ fn run_pass(
         let baseline_opts = SweepOptions {
             threads: sc.threads,
             gpu,
-            prescreen: false,
             ..SweepOptions::default()
         };
         let baseline = run_sweep(&programs[..1], &baseline_opts)
@@ -307,7 +306,6 @@ fn run_pass(
         let mut opts = SweepOptions {
             threads: sc.threads,
             gpu,
-            prescreen: false,
             journal_dir: Some(sweep_dir),
             resume: false,
             ..SweepOptions::default()

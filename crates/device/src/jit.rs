@@ -464,17 +464,6 @@ pub fn compile_kernel(ir: &KernelIr) -> Result<KernelBinary, JitError> {
         .map_err(|e| JitError::Validation(e.to_string()))
 }
 
-/// Lower every kernel of a program source.
-///
-/// # Errors
-///
-/// Propagates the first kernel's [`JitError`].
-pub fn compile_program(
-    source: &ocl_runtime::host::ProgramSource,
-) -> Result<Vec<KernelBinary>, JitError> {
-    source.kernels.iter().map(compile_kernel).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -62,16 +62,6 @@ impl TimingModel {
         self.config
     }
 
-    /// Change the frequency (used by the cross-frequency validation).
-    pub fn set_frequency(&mut self, hz: f64) {
-        self.config.frequency_hz = hz;
-    }
-
-    /// Change the trial seed (a new "run" of the same machine).
-    pub fn set_trial_seed(&mut self, seed: u64) {
-        self.config.trial_seed = seed;
-    }
-
     /// Effective instruction throughput divisor for a launch with
     /// `hw_threads` threads: how many issue cycles retire per GPU
     /// cycle across the machine.

@@ -104,7 +104,6 @@ impl GpuTopology {
         let send_base = 16 + u64::from(self.total_hw_threads() / 8);
         let bytes_per_cycle = (self.dram_bytes_per_second / self.max_frequency_hz) as u64;
         gtpin_analyze::CostParams {
-            frequency_hz: self.max_frequency_hz,
             // Move, Logic, Control, Computation, Send (base).
             issue_cycles: [1, 1, 2, 2, send_base],
             extended_math_cycles: 6,

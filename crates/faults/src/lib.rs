@@ -434,11 +434,6 @@ pub fn summary_if_enabled() -> Option<String> {
     enabled().then(summary)
 }
 
-/// The seed of the currently installed plan (for reporting).
-pub fn current_seed() -> u64 {
-    state().plan.lock().unwrap().seed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,8 +35,6 @@ pub struct RunConfig {
     /// `GTPIN_SIM_THREADS`: detailed-simulator shard workers;
     /// defaults to `threads`.
     pub sim_threads: usize,
-    /// `GTPIN_PRESCREEN`: statically price the sweep's apps up front.
-    pub prescreen: bool,
     /// `GTPIN_DEADLINE_MS`, `GTPIN_BREAKER`, `GTPIN_MAX_TASKS` and
     /// `GTPIN_MAX_VIRTUAL_MS` over [`SupervisorConfig::default`].
     pub supervisor: SupervisorConfig,
@@ -109,7 +107,6 @@ impl RunConfig {
         Ok(RunConfig {
             threads,
             sim_threads: knob(&var, "GTPIN_SIM_THREADS", thread_count)?.unwrap_or(threads),
-            prescreen: knob(&var, "GTPIN_PRESCREEN", flag)?.unwrap_or(false),
             supervisor,
             lease_virtual_ms: knob(&var, "GTPIN_LEASE_MS", limit)?
                 .unwrap_or(DEFAULT_LEASE_VIRTUAL_MS),
@@ -187,7 +184,6 @@ mod tests {
         let c = parse(&[]).expect("defaults parse");
         assert_eq!(c.threads, available_threads());
         assert_eq!(c.sim_threads, c.threads);
-        assert!(!c.prescreen);
         assert_eq!(c.supervisor, SupervisorConfig::default());
         assert_eq!(c.supervisor.breaker_threshold, 3);
         assert_eq!(c.lease_virtual_ms, 60_000);
@@ -253,25 +249,13 @@ mod tests {
 
     #[test]
     fn flags_share_one_trimmed_case_insensitive_vocabulary() {
-        for (raw, on) in [
-            ("TRUE", true),
-            (" on ", true),
-            ("1", true),
-            ("Yes", true),
-            ("off", false),
-            ("0", false),
-            ("", false),
-            (" FALSE ", false),
-        ] {
-            assert_eq!(
-                parse(&[("GTPIN_PRESCREEN", raw)]).unwrap().prescreen,
-                on,
-                "{raw:?}"
-            );
+        // The values each flag maps to are pinned by obs's
+        // `flag_vocabulary`; here the parse must accept and reject the
+        // same spellings.
+        for raw in ["TRUE", " on ", "1", "Yes", "off", "0", "", " FALSE "] {
             parse(&[(gtpin_obs::OBS_ENV, raw)]).expect(raw);
         }
         for bad in ["ture", "2", "enable", "y", "1.0"] {
-            rejects("GTPIN_PRESCREEN", bad);
             rejects(gtpin_obs::OBS_ENV, bad);
         }
     }

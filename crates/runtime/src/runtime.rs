@@ -80,11 +80,6 @@ impl<D: Device> OclRuntime<D> {
         &self.device
     }
 
-    /// Mutable device access.
-    pub fn device_mut(&mut self) -> &mut D {
-        &mut self.device
-    }
-
     /// Consume the runtime, returning the device.
     pub fn into_device(self) -> D {
         self.device

@@ -29,7 +29,6 @@ pub mod explore;
 pub mod features;
 pub mod interval;
 pub mod pipeline;
-pub mod prescreen;
 pub mod sweep;
 pub mod validate;
 
@@ -47,7 +46,6 @@ pub use interval::{
     build_intervals, default_approx_target, Interval, IntervalScheme, SchemeTable, SealedTable,
 };
 pub use pipeline::{profile_app, replay_timings, PipelineError, ProfiledApp};
-pub use prescreen::{PrescreenReport, PrescreenRow, PrescreenSample, StaticEstimator};
 pub use sweep::{
     run_sweep, AppSweepSummary, SweepOptions, SweepOutcome, SweepReport, SweepStats, UnitRecord,
 };

@@ -36,7 +36,6 @@ use crate::explore::Exploration;
 use crate::features::FeatureWeighting;
 use crate::interval::SealedTable;
 use crate::pipeline::profile_app;
-use crate::prescreen::{PrescreenReport, PrescreenSample, StaticEstimator};
 
 /// Everything a sweep run needs. `threads` is a pure wall-clock knob
 /// — the report is bit-identical at any value — and is deliberately
@@ -60,14 +59,6 @@ pub struct SweepOptions {
     /// When true, recover `journal_dir` and skip completed units;
     /// when false, `journal_dir` must be a fresh directory.
     pub resume: bool,
-    /// When true, statically price every app up front and record the
-    /// estimate-vs-simulated comparison ([`PrescreenReport`]) in the
-    /// report. Off by default; `gtpin explore` sets it from
-    /// `GTPIN_PRESCREEN`.
-    /// Pre-screening is derived, never journaled, and never changes
-    /// what the sweep simulates or selects, so it is deliberately
-    /// *not* fingerprinted: a resume may toggle it freely.
-    pub prescreen: bool,
 }
 
 impl Default for SweepOptions {
@@ -81,7 +72,6 @@ impl Default for SweepOptions {
             threads: 1,
             journal_dir: None,
             resume: false,
-            prescreen: false,
         }
     }
 }
@@ -297,11 +287,6 @@ pub struct SweepReport {
     pub virtual_ns_spent: u64,
     /// True when the run budget cut the sweep short.
     pub budget_exhausted: bool,
-    /// Static estimate vs simulated time, present only when
-    /// pre-screening was enabled ([`SweepOptions::prescreen`]). An
-    /// unscreened run renders byte-identically to one produced
-    /// before this field existed.
-    pub prescreen: Option<PrescreenReport>,
 }
 
 impl SweepReport {
@@ -357,9 +342,6 @@ impl SweepReport {
             "mean co-opt error {:.3}%  mean speedup {:.1}x  (over {} contributing app(s))\n",
             self.mean_error_pct, self.mean_speedup, self.contributing_apps
         ));
-        if let Some(prescreen) = &self.prescreen {
-            out.push_str(&prescreen.render());
-        }
         out
     }
 }
@@ -502,24 +484,9 @@ pub fn run_sweep(
     let mut supervisor = Supervisor::new(opts.supervisor.clone());
     let mut summaries: Vec<AppSweepSummary> = Vec::with_capacity(programs.len());
 
-    // Static pre-screening prices every kernel before any profiling;
-    // samples pair those estimates with the simulated runtimes as the
-    // profiles land. Purely derived — nothing here is journaled.
-    let estimator = opts
-        .prescreen
-        .then(|| StaticEstimator::build(programs, &opts.gpu));
-    let mut samples: Vec<PrescreenSample> = Vec::new();
-
     for program in programs {
         let app = program.name.clone();
-        let summary = sweep_one_app(
-            program,
-            &app,
-            opts,
-            &mut supervisor,
-            &mut store,
-            estimator.as_ref().map(|e| (e, &mut samples)),
-        )?;
+        let summary = sweep_one_app(program, &app, opts, &mut supervisor, &mut store)?;
         summaries.push(summary);
     }
 
@@ -548,9 +515,6 @@ pub fn run_sweep(
         tasks_run: sup_report.tasks_run,
         virtual_ns_spent: sup_report.virtual_ns_spent,
         budget_exhausted: sup_report.budget_exhausted,
-        prescreen: estimator
-            .as_ref()
-            .and_then(|_| PrescreenReport::from_samples(&samples)),
     };
     Ok(SweepOutcome {
         report,
@@ -559,15 +523,12 @@ pub fn run_sweep(
 }
 
 /// Profile, evaluate, and summarize one app, journaling each unit.
-/// When pre-screening is on, `prescreen` collects the app's static
-/// estimate next to its simulated runtime once the profile resolves.
 fn sweep_one_app(
     program: &HostProgram,
     app: &str,
     opts: &SweepOptions,
     supervisor: &mut Supervisor,
     store: &mut UnitStore,
-    prescreen: Option<(&StaticEstimator, &mut Vec<PrescreenSample>)>,
 ) -> Result<AppSweepSummary, JournalError> {
     // Fast path: the whole app is already journaled. Its units still
     // replay through the supervisor so breaker/budget state (and the
@@ -666,14 +627,6 @@ fn sweep_one_app(
             );
         }
     };
-
-    // The profile resolved (fresh or replayed), so the simulated
-    // runtime exists — pair it with the static estimate. This sits
-    // before the evaluations on purpose: a fully-journaled app still
-    // contributes a prescreen sample on resume.
-    if let Some((estimator, samples)) = prescreen {
-        samples.push(estimator.sample(app, &data));
-    }
 
     // The 30 configuration evaluations, in fixed `all_configs`
     // order. Tables are built lazily: a fully-journaled app never
@@ -1012,87 +965,6 @@ mod tests {
         assert!(statuses.contains(&"budget"), "statuses: {statuses:?}");
         assert!(!out.report.degraded_apps.is_empty());
         assert!(out.report.render().contains("run budget exhausted"));
-    }
-
-    #[test]
-    fn prescreen_adds_report_without_changing_selections() {
-        let programs = vec![program("sw-pa", 3), program("sw-pb", 5)];
-        let plain = run_sweep(
-            &programs,
-            &SweepOptions {
-                prescreen: false,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        let screened = run_sweep(
-            &programs,
-            &SweepOptions {
-                prescreen: true,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(plain.report.prescreen.is_none());
-        let pre = screened.report.prescreen.as_ref().unwrap();
-        assert_eq!(pre.rows.len(), 2);
-        for row in &pre.rows {
-            assert!(row.est_seconds > 0.0, "{row:?}");
-            assert!(row.simulated_seconds > 0.0, "{row:?}");
-        }
-        // Pre-screening never changes what the sweep selects.
-        assert_eq!(screened.report.apps, plain.report.apps);
-        assert_eq!(screened.stats.executed_units, plain.stats.executed_units);
-        // The unscreened render is a strict prefix of the screened
-        // one: prescreen only appends.
-        let plain_text = plain.report.render();
-        let screened_text = screened.report.render();
-        assert!(screened_text.starts_with(&plain_text));
-        assert!(screened_text.contains("prescreen rank correlation"));
-    }
-
-    #[test]
-    fn prescreen_toggles_freely_across_resume() {
-        // A journal written without pre-screening resumes with it on
-        // (and vice versa): the prescreen section is derived, never
-        // journaled, and the selection rows stay bit-identical.
-        let programs = vec![program("sw-pr", 3), program("sw-ps", 4)];
-        let fresh_screened = run_sweep(
-            &programs,
-            &SweepOptions {
-                prescreen: true,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        let dir = tmpdir("prescreen");
-        let journaled_plain = run_sweep(
-            &programs,
-            &SweepOptions {
-                prescreen: false,
-                journal_dir: Some(dir.clone()),
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        let resumed_screened = run_sweep(
-            &programs,
-            &SweepOptions {
-                prescreen: true,
-                journal_dir: Some(dir.clone()),
-                resume: true,
-                ..SweepOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(resumed_screened.stats.executed_units, 0);
-        assert_eq!(resumed_screened.report, fresh_screened.report);
-        assert_eq!(
-            resumed_screened.report.render(),
-            fresh_screened.report.render()
-        );
-        assert_eq!(resumed_screened.report.apps, journaled_plain.report.apps);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -33,10 +33,12 @@
 //!   in-flight sessions finish, and the socket is removed.
 
 pub mod daemon;
+pub mod report;
 pub mod session;
 pub mod wire;
 
 pub use daemon::{request_drain, request_once, request_with_retry, serve, RetryPolicy};
+pub use report::{render_selection, simulate_program, SimError, SimReport};
 pub use session::{ResumeReport, ServeConfig, SessionEngine, SessionRecord, SessionResult};
 
 use std::path::PathBuf;

@@ -38,18 +38,17 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use gpu_device::detailed::{DetailedConfig, DetailedSimulator};
-use gpu_device::{Gpu, GpuConfig, GpuGeneration};
+use gpu_device::{GpuConfig, GpuGeneration};
 use gtpin_durable::Journal;
 use gtpin_faults::site;
 use gtpin_par::config::DEFAULT_LEASE_VIRTUAL_MS;
 use gtpin_par::{Admission, Outcome, Supervisor, SupervisorConfig};
-use ocl_runtime::runtime::{OclRuntime, Schedule};
 use serde::{Deserialize, Serialize};
 use simpoint::SimpointConfig;
 use subset_select::{default_approx_target, profile_app, Exploration, ProfiledApp};
 use workloads::{build_program, spec_by_name, Scale};
 
+use crate::report::{fnv_fold, render_selection, simulate_program, SimError};
 use crate::wire::{self, Request, Response};
 use crate::ServeError;
 
@@ -828,41 +827,16 @@ impl SessionEngine {
     ) -> Result<(String, u64), (String, String)> {
         let profiled = self.profiled(app, scale)?;
         let ex = self.exploration(app, scale)?;
-        let best = ex.min_error().ok_or_else(|| {
+        let selection = render_selection(&ex, threshold_pct).ok_or_else(|| {
             (
                 "explore".to_string(),
                 "no configurations evaluated".to_string(),
             )
         })?;
-        let co = ex.co_optimize(threshold_pct).ok_or_else(|| {
-            (
-                "explore".to_string(),
-                "no configurations evaluated".to_string(),
-            )
-        })?;
-        let mut report = format!(
-            "explore {app} @ {scale} ({} configurations)\n\
-             min-error:      {:24} error {:.3}%  speedup {:.1}x  k={}\n\
-             co-opt @ {threshold_pct:>4}%: {:24} error {:.3}%  speedup {:.1}x  k={}\n",
-            ex.evaluations.len(),
-            best.config.to_string(),
-            best.error_pct,
-            best.speedup(),
-            best.selection.k,
-            co.config.to_string(),
-            co.error_pct,
-            co.speedup(),
-            co.selection.k,
+        let report = format!(
+            "explore {app} @ {scale} ({} configurations)\n{selection}",
+            ex.evaluations.len()
         );
-        for pick in &co.selection.picks {
-            let iv = co.intervals[pick.interval];
-            report.push_str(&format!(
-                "  simulate invocations [{:>6}, {:>6})  ratio {:.2}%\n",
-                iv.start,
-                iv.end,
-                pick.ratio * 100.0
-            ));
-        }
         Ok((report, (profiled.data.total_seconds() * 1e9) as u64))
     }
 }
@@ -876,13 +850,6 @@ impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
         self.engine.active.fetch_sub(1, Ordering::SeqCst);
     }
-}
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 fn lookup_spec(app: &str) -> Result<workloads::WorkloadSpec, (String, String)> {
@@ -906,7 +873,10 @@ fn parse_scale(scale: &str) -> Result<Scale, (String, String)> {
 }
 
 /// Detailed-simulate the first `launches` launches (0 = all) at test
-/// scale, mirroring `gtpin sim`'s deterministic digest.
+/// scale: `gtpin sim`'s report. Both the functional replay's executor
+/// fan-out and the detailed simulator's shard workers follow the
+/// engine's thread count: results are bit-identical at any value by
+/// contract, and the fault seams exercised follow the config.
 fn compute_sim(
     app: &str,
     launches: u64,
@@ -914,64 +884,20 @@ fn compute_sim(
 ) -> Result<(String, u64), (String, String)> {
     let spec = lookup_spec(app)?;
     let program = build_program(&spec, Scale::Test);
-    // Pin both the functional replay's executor fan-out and the
-    // detailed simulator's shard workers to the engine's configured
-    // thread count: results are bit-identical at any value by
-    // contract, and the fault seams exercised follow the config.
-    let mut gpu_config = GpuConfig::hd4000();
-    gpu_config.exec.threads = threads;
-    let mut rt = OclRuntime::new(Gpu::new(gpu_config));
-    rt.run(&program, Schedule::Replay)
-        .map_err(|e| ("run".to_string(), e.to_string()))?;
-    let gpu = rt.into_device();
-
-    let topo = GpuGeneration::IvyBridgeHd4000.topology();
-    let mut sim =
-        DetailedSimulator::new(topo, 1.15e9, DetailedConfig::default()).with_workers(threads);
-    let all = gpu.launches();
-    let n = if launches == 0 {
-        all.len()
-    } else {
-        all.len().min(launches as usize)
+    let limit = match launches {
+        0 => usize::MAX,
+        n => usize::try_from(n).unwrap_or(usize::MAX),
     };
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
-    let mut cycles = 0u64;
-    let mut instructions = 0u64;
-    let mut busy_cycles = 0u64;
-    let mut eu_cycles = 0u64;
-    for launch in &all[..n] {
-        let kernel = gpu.driver().kernel(launch.kernel.index()).ok_or_else(|| {
-            (
-                "sim".to_string(),
-                "launch references an unbuilt kernel".to_string(),
-            )
-        })?;
-        let r = sim
-            .simulate_launch(kernel, &launch.args, launch.global_work_size)
-            .map_err(|e| ("sim".to_string(), e.to_string()))?;
-        cycles += r.cycles;
-        instructions += r.stats.instructions;
-        busy_cycles += r.busy_cycles;
-        eu_cycles += r.eu_cycles;
-        digest = fnv_fold(digest, &r.cycles.to_le_bytes());
-        digest = fnv_fold(digest, &r.busy_cycles.to_le_bytes());
-        digest = fnv_fold(digest, &r.eu_cycles.to_le_bytes());
-        let stats_json =
-            serde_json::to_string(&r.stats).map_err(|e| ("json".to_string(), e.to_string()))?;
-        digest = fnv_fold(digest, stats_json.as_bytes());
-    }
-    let report = format!(
-        "{app}: {n} launch(es) detailed-simulated at Test scale\n\
-         cycles {cycles}  instructions {instructions}  occupancy {:.4}\n\
-         stats digest: {digest:016x}\n",
-        if eu_cycles == 0 {
-            0.0
-        } else {
-            busy_cycles as f64 / eu_cycles as f64
-        }
-    );
+    let report = simulate_program(&program, "Test", threads, threads, limit).map_err(|e| {
+        let kind = match e {
+            SimError::Run(_) => "run",
+            SimError::UnbuiltKernel | SimError::Simulate(_) => "sim",
+            SimError::Json(_) => "json",
+        };
+        (kind.to_string(), e.to_string())
+    })?;
     // Virtual cost: simulated cycles at the 1.15 GHz device clock.
-    Ok((report, cycles.saturating_mul(20) / 23))
+    Ok((report.text, report.cycles.saturating_mul(20) / 23))
 }
 
 /// Run the static lints and the instrumentation-safety verifier over
@@ -1431,12 +1357,14 @@ mod tests {
             scale: "test".to_string(),
             threshold_pct: 5.0,
         };
+        let analyze = Request::Analyze { app: app.clone() };
 
         // Clean baseline: the bytes every faulted run must reproduce.
         let clean = engine(ServeConfig::default());
         let want_profile = clean.handle(&profile);
         let want_explore = clean.handle(&explore);
-        assert!(!want_profile.is_err() && !want_explore.is_err());
+        let want_analyze = clean.handle(&analyze);
+        assert!(!want_profile.is_err() && !want_explore.is_err() && !want_analyze.is_err());
 
         // Corrupt every cache read: each memo hit trips its canary,
         // quarantines the entry, and recomputes — the responses stay
@@ -1445,10 +1373,17 @@ mod tests {
         let e = engine(ServeConfig::default());
         assert_eq!(e.handle(&profile), want_profile);
         assert_eq!(e.handle(&explore), want_explore);
+        // The first analyze fills the per-kernel memo; with the
+        // response cache cleared, the second reads every kernel back
+        // through its canary and re-analyzes the corrupted entries.
+        assert_eq!(e.handle(&analyze), want_analyze);
+        lock(&e.responses).clear();
+        assert_eq!(e.handle(&analyze), want_analyze);
         let acc: BTreeMap<String, u64> = gtpin_faults::take_accounting().into_iter().collect();
         gtpin_faults::disable();
         assert!(acc["injected.cache.corrupt"] >= 1, "{acc:?}");
         assert!(acc["healed.serve.profile"] >= 1, "{acc:?}");
+        assert!(acc["healed.serve.analysis"] >= 1, "{acc:?}");
         assert!(acc["recovered.cache_heal"] >= 1, "{acc:?}");
     }
 

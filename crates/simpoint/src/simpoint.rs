@@ -64,13 +64,6 @@ pub struct Selection {
 }
 
 impl Selection {
-    /// The selected interval indices in input order.
-    pub fn selected_intervals(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.picks.iter().map(|p| p.interval).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Sum of representation ratios (1.0 up to rounding).
     pub fn total_ratio(&self) -> f64 {
         self.picks.iter().map(|p| p.ratio).sum()

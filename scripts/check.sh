@@ -22,9 +22,11 @@ echo "== ambient-config gate: no environment reads below the binaries"
 # Every GTPIN_* knob is parsed once, into gtpin_par::RunConfig, by the
 # binary that runs, and passed down as explicit values. Only that
 # parser and the two process-wide registries below gtpin-par
-# (telemetry, fault injection) may read the environment.
+# (telemetry, fault injection) may read the environment. The pattern
+# catches `env::var`, `env::vars` and their `_os` forms, with or
+# without a `std::` path, so `use std::env;` cannot hide a read.
 AMBIENT_ALLOWED='^crates/(par/src/config|obs/src/registry|faults/src/lib)\.rs:'
-AMBIENT_HITS="$(grep -rnE 'std::env::var|configured_(sim_)?threads' src crates/*/src \
+AMBIENT_HITS="$(grep -rnE 'env::vars?(_os)?|configured_(sim_)?threads' src crates/*/src \
     | grep -vE "$AMBIENT_ALLOWED" || true)"
 if [ -n "$AMBIENT_HITS" ]; then
     echo "$AMBIENT_HITS"

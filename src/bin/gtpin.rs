@@ -132,6 +132,7 @@ use gtpin_suite::isa::disasm::disassemble_flat;
 use gtpin_suite::par::RunConfig;
 use gtpin_suite::runtime::runtime::{OclRuntime, Schedule};
 use gtpin_suite::selection::{profile_app, run_sweep, Exploration, SweepOptions};
+use gtpin_suite::serve::{render_selection, simulate_program, SimError};
 use gtpin_suite::simpoint::SimpointConfig;
 use gtpin_suite::workloads::{all_specs, build_program, luxmark_score, spec_by_name, Scale};
 use gtpin_suite::GtPinError;
@@ -354,33 +355,8 @@ fn cmd_select(args: &[String], config: &RunConfig) -> CliResult {
     let ex =
         Exploration::run_with_threads(data, approx, &SimpointConfig::default(), config.threads);
 
-    let best = ex.min_error().ok_or("no configurations evaluated")?;
-    println!(
-        "min-error:      {:24} error {:.3}%  speedup {:.1}x  k={}",
-        best.config.to_string(),
-        best.error_pct,
-        best.speedup(),
-        best.selection.k
-    );
-    let co = ex
-        .co_optimize(threshold)
-        .ok_or("no configurations evaluated")?;
-    println!(
-        "co-opt @ {threshold:>4}%: {:24} error {:.3}%  speedup {:.1}x  k={}",
-        co.config.to_string(),
-        co.error_pct,
-        co.speedup(),
-        co.selection.k
-    );
-    for pick in &co.selection.picks {
-        let iv = co.intervals[pick.interval];
-        println!(
-            "  simulate invocations [{:>6}, {:>6})  ratio {:.2}%",
-            iv.start,
-            iv.end,
-            pick.ratio * 100.0
-        );
-    }
+    let selection = render_selection(&ex, threshold).ok_or("no configurations evaluated")?;
+    print!("{selection}");
     Ok(())
 }
 
@@ -391,9 +367,6 @@ fn cmd_select(args: &[String], config: &RunConfig) -> CliResult {
 /// which is exactly what the `scripts/check.sh` serial-vs-sharded
 /// gate diffs.
 fn cmd_sim(args: &[String], config: &RunConfig) -> CliResult {
-    use gtpin_suite::device::detailed::{DetailedConfig, DetailedSimulator};
-    use gtpin_suite::device::GpuGeneration;
-
     let spec = parse_app(args)?;
     // Detailed simulation is the slow path by design; default to the
     // test scale so the gate stays cheap.
@@ -407,56 +380,27 @@ fn cmd_sim(args: &[String], config: &RunConfig) -> CliResult {
         .transpose()?
         .unwrap_or(usize::MAX);
 
-    let program = build_program(&spec, scale);
-    let mut rt = OclRuntime::new(Gpu::new(hd4000(config)));
-    rt.run(&program, Schedule::Replay)?;
-    let gpu = rt.into_device();
-
-    let topo = GpuGeneration::IvyBridgeHd4000.topology();
-    let mut sim = DetailedSimulator::new(topo, 1.15e9, DetailedConfig::default())
-        .with_workers(config.sim_threads);
     // Worker count on stderr only: stdout must diff clean across
     // thread counts.
     eprintln!(
         "sim: {} workers (GTPIN_SIM_THREADS / GTPIN_THREADS)",
         config.sim_threads
     );
-
-    let launches = gpu.launches();
-    let n = launches.len().min(limit);
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
-    let mut cycles = 0u64;
-    let mut instructions = 0u64;
-    let mut busy_cycles = 0u64;
-    let mut eu_cycles = 0u64;
-    for launch in &launches[..n] {
-        let kernel = gpu
-            .driver()
-            .kernel(launch.kernel.index())
-            .ok_or("launch references an unbuilt kernel")?;
-        let r = sim.simulate_launch(kernel, &launch.args, launch.global_work_size)?;
-        cycles += r.cycles;
-        instructions += r.stats.instructions;
-        busy_cycles += r.busy_cycles;
-        eu_cycles += r.eu_cycles;
-        digest = fnv_fold(digest, &r.cycles.to_le_bytes());
-        digest = fnv_fold(digest, &r.busy_cycles.to_le_bytes());
-        digest = fnv_fold(digest, &r.eu_cycles.to_le_bytes());
-        digest = fnv_fold(digest, serde_json::to_string(&r.stats)?.as_bytes());
-    }
-    println!(
-        "{}: {} launch(es) detailed-simulated at {:?} scale",
-        spec.name, n, scale
-    );
-    println!(
-        "cycles {cycles}  instructions {instructions}  occupancy {:.4}",
-        if eu_cycles == 0 {
-            0.0
-        } else {
-            busy_cycles as f64 / eu_cycles as f64
-        }
-    );
-    println!("stats digest: {digest:016x}");
+    let program = build_program(&spec, scale);
+    let report = simulate_program(
+        &program,
+        &format!("{scale:?}"),
+        config.threads,
+        config.sim_threads,
+        limit,
+    )
+    .map_err(|e| match e {
+        SimError::Run(e) => GtPinError::Run(e),
+        SimError::UnbuiltKernel => GtPinError::Msg(e.to_string()),
+        SimError::Simulate(e) => GtPinError::Exec(e),
+        SimError::Json(e) => GtPinError::Json(e),
+    })?;
+    print!("{}", report.text);
     // Artifact paths on stderr only: stdout must diff clean across
     // thread counts, and telemetry file names are machine context.
     if gtpin_suite::obs::enabled() {
@@ -517,7 +461,6 @@ fn cmd_explore(args: &[String], config: &RunConfig) -> CliResult {
         threads: config.threads,
         journal_dir,
         resume,
-        prescreen: config.prescreen,
         ..SweepOptions::default()
     };
     let outcome = run_sweep(&programs, &opts)?;
