@@ -28,7 +28,9 @@ const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// FNV-1a over a byte slice.
+/// FNV-1a over a byte slice: `gtpin_obs::frame::fnv64`, repeated
+/// because depending on `gtpin-obs` here would change the lock file
+/// the `pipeline` benchmark builds from.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = FNV_BASIS;
     for &b in bytes {

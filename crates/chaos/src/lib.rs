@@ -45,11 +45,12 @@ pub mod trial;
 
 pub use scenario::{pinned, OracleKind, Scenario, POOL_LOSSY, POOL_RESUME_SAFE, RATE_LADDER};
 pub use shrink::shrink_scenario;
-pub use trial::{fnv_fold, run_trial, TrialReport, DEFAULT_MAX_RESTARTS};
+pub use trial::{run_trial, TrialReport, DEFAULT_MAX_RESTARTS};
 
 use std::path::PathBuf;
 
 use gtpin_durable::Journal;
+use gtpin_obs::frame::fnv_fold;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one chaos run.

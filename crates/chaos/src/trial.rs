@@ -41,6 +41,7 @@ use gpu_device::{Gpu, GpuConfig};
 use gtpin_core::{GtPin, RewriteConfig};
 use gtpin_durable::JournalError;
 use gtpin_faults::{site, FaultPlan};
+use gtpin_obs::frame::fnv_fold;
 use gtpin_serve::wire::Request;
 use gtpin_serve::{ServeConfig, SessionEngine};
 use ocl_runtime::host::HostProgram;
@@ -54,15 +55,6 @@ use crate::scenario::{OracleKind, Scenario};
 /// (`gtpin chaos` takes `--max-restarts`, then
 /// `GTPIN_CHAOS_MAX_RESTARTS`).
 pub const DEFAULT_MAX_RESTARTS: u64 = 200;
-
-/// FNV-1a fold, matching the digest idiom of the CLI drivers.
-pub fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 /// The judged result of one scenario trial.
 #[derive(Debug, Clone)]

@@ -43,7 +43,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 pub mod sealed;
-pub use sealed::Sealed;
+pub use sealed::{Memo, Sealed};
 
 /// Environment variable that arms the registry.
 pub const FAULTS_ENV: &str = "GTPIN_FAULTS";
@@ -317,12 +317,7 @@ pub fn mix64(mut z: u64) -> u64 {
 
 /// FNV-1a over a string, for site names and other identifiers.
 pub fn hash_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    gtpin_obs::frame::fnv64(s.as_bytes())
 }
 
 /// Should the fault at `site` fire for this `key`?
@@ -375,6 +370,21 @@ pub fn occurrence(site: &'static str, ident: u64) -> u64 {
     let out = *n;
     *n += 1;
     out
+}
+
+/// [`should_inject`] for the next repeat of an operation on `ident`,
+/// salted by its [`occurrence`] so every repeat gets an independent,
+/// replayable decision. `Some(occurrence)` when the fault fires.
+pub fn inject_next(site: &'static str, ident: u64) -> Option<u64> {
+    if !enabled() {
+        return None;
+    }
+    let occ = occurrence(site, ident);
+    should_inject(
+        site,
+        ident.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(occ),
+    )
+    .then_some(occ)
 }
 
 /// Bump a named accounting counter (recovery paths use

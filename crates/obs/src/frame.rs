@@ -17,11 +17,15 @@ pub const RECORD_HEADER: usize = 12;
 
 /// FNV-1a over a byte slice — the per-record checksum.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv_fold(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// One FNV-1a step over `bytes` from the running hash `h` — the fold
+/// every digest in the workspace chains from the offset basis.
+pub fn fnv_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Append one framed record (`[len][fnv64][payload]`) to `out`.

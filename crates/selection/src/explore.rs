@@ -11,9 +11,9 @@ use serde::{Deserialize, Serialize};
 use simpoint::SimpointConfig;
 
 use crate::data::AppData;
-use crate::evaluate::{all_configs, evaluate_config_with_table, Evaluation, SelectionConfig};
+use crate::evaluate::{all_configs, evaluate_config_with_table, Evaluation};
 use crate::features::FeatureWeighting;
-use crate::interval::SealedTable;
+use crate::interval::{scheme_tables, table_memo};
 
 /// The outcome of evaluating every configuration for one app.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -51,38 +51,20 @@ impl Exploration {
             span.arg_str("app", data.app.clone());
             span.arg_u64("threads", threads as u64);
         }
-        // Divide once per scheme; tables are shared read-only below.
+        // Divide once per scheme (filling the memo reads no seal),
+        // then verify every table once at the serial point, before
+        // the read-only fan-out: a corrupted table heals here (rebuilt
+        // bitwise identical), so every worker sees proven bytes.
         let configs = all_configs(approx_target);
-        let mut tables: Vec<SealedTable> = Vec::new();
-        for cfg in &configs {
-            if !tables.iter().any(|t| t.scheme() == cfg.interval) {
-                tables.push(SealedTable::build(data, cfg.interval));
-            }
-        }
-        let tasks: Vec<(usize, SelectionConfig)> = configs
-            .into_iter()
-            .map(|cfg| {
-                let ti = tables
-                    .iter()
-                    .position(|t| t.scheme() == cfg.interval)
-                    .expect("table built for every scheme");
-                (ti, cfg)
-            })
-            .collect();
+        let mut memo = table_memo();
+        scheme_tables(&mut memo, data, &configs);
+        let tables = scheme_tables(&mut memo, data, &configs);
 
-        // Verify-on-read at the serial point, before the read-only
-        // fan-out: a corrupted table heals here (rebuilt bitwise
-        // identical), so every worker sees proven bytes and the
-        // verification schedule is independent of the thread count.
-        for table in &mut tables {
-            table.verified(data);
-        }
-
-        let evaluations = gtpin_par::parallel_map(&tasks, threads, |_, &(ti, cfg)| {
+        let evaluations = gtpin_par::parallel_map(&configs, threads, |i, &cfg| {
             evaluate_config_with_table(
                 data,
                 cfg,
-                tables[ti].table(),
+                &tables[i],
                 simpoint,
                 FeatureWeighting::InstructionWeighted,
             )

@@ -11,12 +11,17 @@
 //! | ~N instructions (paper: ~100M) | medium |
 //! | single kernel invocation | small |
 
+use std::sync::Arc;
+
+use gtpin_faults::Memo;
+use gtpin_obs::frame::fnv64;
 use serde::{Deserialize, Serialize};
 
 use crate::data::AppData;
+use crate::evaluate::SelectionConfig;
 
 /// How to divide a program trace into intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum IntervalScheme {
     /// Split at each synchronization call (largest intervals).
     SyncBounded,
@@ -185,56 +190,39 @@ impl SchemeTable {
     }
 }
 
-/// A [`SchemeTable`] guarded by a verify-on-read canary seal.
-///
-/// The table is memoized state that every evaluation trusts; a
-/// corrupted entry would silently skew all 10 feature kinds under
-/// its scheme. The seal packs the table into canonical bytes and
-/// records their fnv64 ([`gtpin_faults::Sealed`]); callers verify at
-/// the serial point before fanning out read-only. On a mismatch
-/// (the `cache.corrupt` fault site, or real rot) the table is
-/// quarantined and rebuilt from the source `AppData` — recompute is
-/// the reference path, so the healed table is bitwise identical to
-/// the original and downstream results never change.
-#[derive(Debug, Clone)]
-pub struct SealedTable {
-    table: SchemeTable,
-    seal: gtpin_faults::Sealed,
-    ident: u64,
+/// The memo an exploration or a sweep keeps its [`SchemeTable`]s in
+/// for one call, sealed over [`pack_table`] under `fnv64("app/label")`.
+pub(crate) fn table_memo() -> Memo<IntervalScheme, SchemeTable> {
+    Memo::new("selection.interval_table", None)
 }
 
-impl SealedTable {
-    /// Build and seal a table for `data` under `scheme`.
-    pub fn build(data: &AppData, scheme: IntervalScheme) -> SealedTable {
-        let table = SchemeTable::build(data, scheme);
-        let ident = gtpin_obs::frame::fnv64(format!("{}/{}", data.app, scheme.label()).as_bytes());
-        let seal = gtpin_faults::Sealed::new(pack_table(&table));
-        SealedTable { table, seal, ident }
-    }
-
-    /// The scheme this table divides under.
-    pub fn scheme(&self) -> IntervalScheme {
-        self.table.scheme
-    }
-
-    /// Verify-on-read: check the canary seal and heal on mismatch by
-    /// rebuilding from `data` and resealing (accounted through
-    /// `healed.selection.interval_table` / `cache.heal`). Returns the
-    /// (possibly freshly rebuilt) table.
-    pub fn verified(&mut self, data: &AppData) -> &SchemeTable {
-        if self.seal.read(self.ident).is_none() {
-            gtpin_faults::sealed::note_heal("selection.interval_table");
-            self.table = SchemeTable::build(data, self.table.scheme);
-            self.seal = gtpin_faults::Sealed::new(pack_table(&self.table));
-        }
-        &self.table
-    }
-
-    /// Access without verification — for read-only fan-out after a
-    /// serial [`Self::verified`] call.
-    pub fn table(&self) -> &SchemeTable {
-        &self.table
-    }
+/// The table of each config's scheme, looking each distinct scheme up
+/// once in first-appearance order. A missing or corrupted table is
+/// built from `data`, so the first call fills the memo without a seal
+/// read and each later call verifies every table once.
+pub(crate) fn scheme_tables(
+    memo: &mut Memo<IntervalScheme, SchemeTable>,
+    data: &AppData,
+    configs: &[SelectionConfig],
+) -> Vec<Arc<SchemeTable>> {
+    let mut looked_up: Vec<Arc<SchemeTable>> = Vec::new();
+    configs
+        .iter()
+        .map(|cfg| {
+            let scheme = cfg.interval;
+            if let Some(table) = looked_up.iter().find(|t| t.scheme == scheme) {
+                return Arc::clone(table);
+            }
+            let table = memo.get(&scheme).unwrap_or_else(|| {
+                let table = SchemeTable::build(data, scheme);
+                let canary = pack_table(&table);
+                let ident = fnv64(format!("{}/{}", data.app, scheme.label()).as_bytes());
+                memo.insert(scheme, ident, table, canary)
+            });
+            looked_up.push(Arc::clone(&table));
+            table
+        })
+        .collect()
 }
 
 /// Canonical byte packing of a table for sealing: scheme label,
@@ -450,7 +438,7 @@ mod tests {
     static FAULTS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
-    fn sealed_table_heals_corruption_to_identical_bits() {
+    fn table_memo_heals_corruption_to_identical_bits() {
         let _g = FAULTS_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -464,8 +452,13 @@ mod tests {
             1.0,
             77,
         ));
-        let mut sealed = SealedTable::build(&d, scheme);
-        let healed = sealed.verified(&d);
+        let configs = [SelectionConfig {
+            interval: scheme,
+            features: crate::features::FeatureKind::Kn,
+        }];
+        let mut memo = table_memo();
+        scheme_tables(&mut memo, &d, &configs);
+        let healed = &scheme_tables(&mut memo, &d, &configs)[0];
         assert_eq!(healed.intervals, reference.intervals);
         for i in 0..reference.len() {
             assert_eq!(healed.instructions(i), reference.instructions(i));
@@ -482,8 +475,9 @@ mod tests {
         gtpin_faults::disable();
 
         // Quiescent: the seal holds and no heal is accounted.
-        let mut clean = SealedTable::build(&d, scheme);
-        clean.verified(&d);
+        let mut clean = table_memo();
+        scheme_tables(&mut clean, &d, &configs);
+        scheme_tables(&mut clean, &d, &configs);
         let acc: std::collections::BTreeMap<String, u64> =
             gtpin_faults::take_accounting().into_iter().collect();
         assert!(!acc.contains_key("healed.selection.interval_table"));

@@ -19,7 +19,8 @@
 //!   per app; pick the error-minimizing one (Figure 6) or co-optimize
 //!   error and selection size under a threshold (Figure 7);
 //! * [`validate`] — reuse one trial's selections across trials,
-//!   frequencies, and architecture generations (Figure 8);
+//!   frequencies, and architecture generations (Figure 8), and
+//!   project them on a detailed-simulated design;
 //! * [`pipeline`] — the end-to-end native-profile → dataset flow,
 //!   built on CoFluent-style record/replay.
 
@@ -42,11 +43,12 @@ pub use features::{
     feature_vector, feature_vector_weighted, feature_vectors, feature_vectors_weighted,
     FeatureKind, FeatureWeighting,
 };
-pub use interval::{
-    build_intervals, default_approx_target, Interval, IntervalScheme, SchemeTable, SealedTable,
-};
+pub use interval::{build_intervals, default_approx_target, Interval, IntervalScheme, SchemeTable};
 pub use pipeline::{profile_app, replay_timings, PipelineError, ProfiledApp};
 pub use sweep::{
     run_sweep, AppSweepSummary, SweepOptions, SweepOutcome, SweepReport, SweepStats, UnitRecord,
 };
-pub use validate::{cross_error_pct, validate_against_with_threads, ValidationPoint};
+pub use validate::{
+    cross_error_pct, detailed_projection, validate_against_with_threads, DetailedProjection,
+    ValidationPoint,
+};

@@ -34,7 +34,7 @@ use crate::data::AppData;
 use crate::evaluate::{all_configs, evaluate_config_with_table, Evaluation};
 use crate::explore::Exploration;
 use crate::features::FeatureWeighting;
-use crate::interval::SealedTable;
+use crate::interval::{scheme_tables, table_memo};
 use crate::pipeline::profile_app;
 
 /// Everything a sweep run needs. `threads` is a pure wall-clock knob
@@ -234,7 +234,7 @@ pub struct PickRow {
 
 /// Per-application outcome of the sweep — the journaled `summary/`
 /// unit and the row source of the final report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AppSweepSummary {
     /// App name.
     pub app: String,
@@ -595,15 +595,7 @@ fn sweep_one_app(
                     app: app.to_string(),
                     status: "profile-failed".into(),
                     profile_error: Some(error),
-                    evaluated: 0,
-                    failed: 0,
-                    deadline_exceeded: 0,
-                    skipped_breaker: 0,
-                    skipped_budget: 0,
-                    virtual_ns: 0,
-                    min_error: None,
-                    co_opt: None,
-                    picks: Vec::new(),
+                    ..AppSweepSummary::default()
                 },
             );
         }
@@ -613,16 +605,8 @@ fn sweep_one_app(
                 AppSweepSummary {
                     app: app.to_string(),
                     status: "budget".into(),
-                    profile_error: None,
-                    evaluated: 0,
-                    failed: 0,
-                    deadline_exceeded: 0,
-                    skipped_breaker: 0,
                     skipped_budget: u64::from(other.kind() == "skip-budget"),
-                    virtual_ns: 0,
-                    min_error: None,
-                    co_opt: None,
-                    picks: Vec::new(),
+                    ..AppSweepSummary::default()
                 },
             );
         }
@@ -633,21 +617,11 @@ fn sweep_one_app(
     // pays for trace division again.
     let approx = crate::interval::default_approx_target(&data);
     let configs = all_configs(approx);
-    let mut tables: Vec<SealedTable> = Vec::new();
-    let mut table_index: Vec<usize> = Vec::with_capacity(configs.len());
+    let mut memo = table_memo();
     let all_cached =
         (0..configs.len()).all(|i| store.cached(&format!("eval/{app}/{i:02}")).is_some());
     if !all_cached {
-        for cfg in &configs {
-            let ti = match tables.iter().position(|t| t.scheme() == cfg.interval) {
-                Some(ti) => ti,
-                None => {
-                    tables.push(SealedTable::build(&data, cfg.interval));
-                    tables.len() - 1
-                }
-            };
-            table_index.push(ti);
-        }
+        scheme_tables(&mut memo, &data, &configs);
     }
 
     // Dispatch in explicit `batch`-sized chunks so each chunk's
@@ -666,9 +640,11 @@ fn sweep_one_app(
         // identical from `data`) before any worker reads it. The
         // schedule is chunk-count-driven, so it replays identically
         // at every thread count.
-        for table in &mut tables {
-            table.verified(&data);
-        }
+        let tables = if all_cached {
+            Vec::new()
+        } else {
+            scheme_tables(&mut memo, &data, &configs)
+        };
         let chunk_outcomes = supervisor.run_units(
             app,
             chunk,
@@ -699,7 +675,7 @@ fn sweep_one_app(
                 evaluate_config_with_table(
                     &data,
                     *cfg,
-                    tables[table_index[i]].table(),
+                    &tables[i],
                     &opts.simpoint,
                     FeatureWeighting::InstructionWeighted,
                 )

@@ -4,8 +4,16 @@
 //! One set of selections (intervals + representation ratios) is made
 //! from a single recorded trial; replays of the same recording on
 //! other trials/machines produce new per-invocation timings, and the
-//! old selections must still project the new whole-program SPI.
+//! old selections must still project the new whole-program SPI —
+//! and, through [`detailed_projection`], a detailed-simulated
+//! design's whole-program cycles.
 
+use std::ops::Range;
+
+use gpu_device::detailed::{DetailedConfig, DetailedSimulator};
+use gpu_device::{
+    Cache, CacheConfig, CheckpointLibrary, ExecError, Gpu, GpuTopology, LaunchDescriptor,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::data::AppData;
@@ -46,6 +54,87 @@ pub fn validate_against_with_threads(
     gtpin_par::parallel_map(replays, threads, |_, (label, data)| ValidationPoint {
         label: label.clone(),
         error_pct: cross_error_pct(selection, data),
+    })
+}
+
+/// A selection's Eq.-1 projection on one detailed-simulated design,
+/// against the full program simulated in detail. The simulated
+/// instruction fraction is `subset_instructions / full_instructions`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DetailedProjection {
+    /// Cycles of the whole program simulated in detail.
+    pub full_cycles: u64,
+    /// Σ ratio × pick cycles-per-instruction × program instructions.
+    pub projected_cycles: f64,
+    /// |projected − full| / full, in percent.
+    pub error_pct: f64,
+    /// Instructions the full run simulated.
+    pub full_instructions: u64,
+    /// Instructions the selected intervals simulated.
+    pub subset_instructions: u64,
+}
+
+/// Section V-A, steps 6–7: detail-simulate `selection`'s picks on
+/// `topology` at `frequency_hz`, each from a warm-cache checkpoint,
+/// extrapolate by their ratios, and score that against every launch
+/// of `gpu` (a functional replay of the profiled program).
+///
+/// # Errors
+///
+/// Returns [`ExecError`] if a launch fails to execute or simulate.
+pub fn detailed_projection(
+    selection: &Evaluation,
+    gpu: &Gpu,
+    topology: GpuTopology,
+    frequency_hz: f64,
+) -> Result<DetailedProjection, ExecError> {
+    let kernels: Vec<_> = (0..gpu.driver().num_kernels())
+        .filter_map(|i| gpu.driver().kernel(i).cloned())
+        .collect();
+    let launches: Vec<LaunchDescriptor> = gpu
+        .launches()
+        .iter()
+        .map(|l| LaunchDescriptor {
+            kernel_index: l.kernel.index(),
+            args: l.args.clone(),
+            global_work_size: l.global_work_size,
+        })
+        .collect();
+    // (cycles, instructions) of `range`, from `cache` or a cold one.
+    let simulate = |cache: Option<&Cache>, range: Range<usize>| {
+        let mut sim = DetailedSimulator::new(topology, frequency_hz, DetailedConfig::default());
+        if let Some(cache) = cache {
+            sim.restore_cache(cache.clone());
+        }
+        launches[range].iter().try_fold((0u64, 0u64), |(c, n), l| {
+            let r = sim.simulate_launch(&kernels[l.kernel_index], &l.args, l.global_work_size)?;
+            Ok::<_, ExecError>((c + r.cycles, n + r.stats.instructions))
+        })
+    };
+
+    let (full_cycles, full_instructions) = simulate(None, 0..launches.len())?;
+    let picks = &selection.selection.picks;
+    let starts: Vec<usize> = picks
+        .iter()
+        .map(|p| selection.intervals[p.interval].start)
+        .collect();
+    let cache = CacheConfig::llc_slice(topology.llc_slice_kib);
+    let checkpoints = CheckpointLibrary::build(&kernels, &launches, cache, &starts)?;
+    let (mut projected_cpi, mut subset_instructions) = (0.0, 0u64);
+    for pick in picks {
+        let iv = selection.intervals[pick.interval];
+        let (cycles, instructions) =
+            simulate(checkpoints.cache_before(iv.start), iv.start..iv.end)?;
+        subset_instructions += instructions;
+        projected_cpi += pick.ratio * cycles as f64 / instructions.max(1) as f64;
+    }
+    let projected_cycles = projected_cpi * full_instructions as f64;
+    Ok(DetailedProjection {
+        full_cycles,
+        projected_cycles,
+        error_pct: (projected_cycles - full_cycles as f64).abs() / full_cycles as f64 * 100.0,
+        full_instructions,
+        subset_instructions,
     })
 }
 

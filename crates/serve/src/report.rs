@@ -7,6 +7,7 @@
 use gpu_device::detailed::{DetailedConfig, DetailedSimulator};
 use gpu_device::ExecError;
 use gpu_device::{Gpu, GpuConfig, GpuGeneration};
+use gtpin_obs::frame::fnv_fold;
 use ocl_runtime::runtime::{OclRuntime, RunError, Schedule};
 use ocl_runtime::HostProgram;
 use subset_select::Exploration;
@@ -138,12 +139,4 @@ pub fn render_selection(ex: &Exploration, threshold_pct: f64) -> Option<String> 
         ));
     }
     Some(out)
-}
-
-/// One FNV-1a step over `bytes`.
-pub(crate) fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }

@@ -40,7 +40,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use gpu_device::{GpuConfig, GpuGeneration};
 use gtpin_durable::Journal;
-use gtpin_faults::site;
+use gtpin_faults::{site, Memo};
+use gtpin_obs::frame::fnv_fold;
 use gtpin_par::config::DEFAULT_LEASE_VIRTUAL_MS;
 use gtpin_par::{Admission, Outcome, Supervisor, SupervisorConfig};
 use serde::{Deserialize, Serialize};
@@ -48,7 +49,7 @@ use simpoint::SimpointConfig;
 use subset_select::{default_approx_target, profile_app, Exploration, ProfiledApp};
 use workloads::{build_program, spec_by_name, Scale};
 
-use crate::report::{fnv_fold, render_selection, simulate_program, SimError};
+use crate::report::{render_selection, simulate_program, SimError};
 use crate::wire::{self, Request, Response};
 use crate::ServeError;
 
@@ -210,56 +211,28 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A memo-cache entry guarded by a verify-on-read canary seal.
-///
-/// The canary is a canonical byte rendering of the entry sealed with
-/// its fnv64 ([`gtpin_faults::Sealed`]); every cache read verifies it
-/// before trusting the `Arc`. A mismatch (the `cache.corrupt` fault
-/// site, or real rot) quarantines the whole entry — the caller
-/// removes it, accounts the heal, and recomputes from source, which
-/// is bitwise identical because recompute is the path that filled
-/// the cache. Verification costs one fnv64 pass over the canary, not
-/// a deserialization.
-struct SealedSlot<T> {
-    value: Arc<T>,
-    seal: gtpin_faults::Sealed,
-}
-
-impl<T> SealedSlot<T> {
-    fn new(value: Arc<T>, canary: Vec<u8>) -> SealedSlot<T> {
-        SealedSlot {
-            value,
-            seal: gtpin_faults::Sealed::new(canary),
-        }
-    }
-
-    /// Verify the canary under `ident`; `Some` shares the value,
-    /// `None` means the entry must be quarantined and recomputed.
-    fn verified(&mut self, ident: u64) -> Option<Arc<T>> {
-        self.seal.read(ident).map(|_| self.value.clone())
-    }
-}
-
 /// The shared state behind every connection of one daemon lifetime.
 pub struct SessionEngine {
     config: ServeConfig,
     supervisor: Mutex<Supervisor>,
     journal: Option<Mutex<Journal>>,
-    /// Terminal results by session key — the response cache.
+    /// Terminal results by session key — the response cache and the
+    /// journal's in-memory mirror. A plain map, not sealed.
     responses: Mutex<BTreeMap<String, SessionResult>>,
     /// One-time profiling passes by `app/scale`, shared by `profile`
-    /// and `explore` sessions. Sealed: reads verify a canary over the
-    /// profiled trace data and heal on mismatch.
-    profiles: Mutex<BTreeMap<String, SealedSlot<ProfiledApp>>>,
+    /// and `explore` sessions, sealed over the serialized trace data.
+    /// An unknown app or scale fails before any insert.
+    profiles: Mutex<Memo<String, ProfiledApp>>,
     /// 30-configuration sweeps by `app/scale`; the co-optimization
     /// threshold only affects selection over the finished sweep, so
-    /// explores at different thresholds share one entry. Sealed.
-    explorations: Mutex<BTreeMap<String, SealedSlot<Exploration>>>,
+    /// explores at different thresholds share one entry. Sealed over
+    /// its JSON.
+    explorations: Mutex<Memo<String, Exploration>>,
     /// Structural analyses by kernel **content hash** — apps sharing
     /// a kernel binary share its dominator/loop/cost analysis, and a
-    /// re-request of the same app re-renders from the cache instead
+    /// re-request of the same app re-renders from the memo instead
     /// of re-walking the CFG. Sealed over the rendered report text.
-    analyses: Mutex<BTreeMap<u64, SealedSlot<gtpin_analyze::KernelReport>>>,
+    analyses: Mutex<Memo<u64, gtpin_analyze::KernelReport>>,
     /// Sessions currently computing (admission cap).
     active: AtomicUsize,
 }
@@ -296,9 +269,18 @@ impl SessionEngine {
             supervisor: Mutex::new(Supervisor::new(config.supervisor.clone())),
             journal,
             responses: Mutex::new(BTreeMap::new()),
-            profiles: Mutex::new(BTreeMap::new()),
-            explorations: Mutex::new(BTreeMap::new()),
-            analyses: Mutex::new(BTreeMap::new()),
+            profiles: Mutex::new(Memo::new(
+                "serve.profile",
+                Some(("serve.memo_profile_hit", "serve.memo_profile_miss")),
+            )),
+            explorations: Mutex::new(Memo::new(
+                "serve.exploration",
+                Some(("serve.memo_explore_hit", "serve.memo_explore_miss")),
+            )),
+            analyses: Mutex::new(Memo::new(
+                "serve.analysis",
+                Some(("serve.memo_analyze_hit", "serve.memo_analyze_miss")),
+            )),
             active: AtomicUsize::new(0),
             config,
         };
@@ -554,19 +536,13 @@ impl SessionEngine {
         let mut frames = Vec::new();
         let mut complete = true;
         for response in result.responses() {
-            if gtpin_faults::enabled() {
-                // Each frame of each delivery attempt gets an
-                // independent, deterministic decision.
-                let occ = gtpin_faults::occurrence(site::SERVE_CONN_DROP, ident);
-                if gtpin_faults::should_inject(
-                    site::SERVE_CONN_DROP,
-                    ident.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(occ),
-                ) {
-                    gtpin_faults::note("recovered.serve_conn_drop", 1);
-                    gtpin_obs::counter_add("serve.conn_dropped", 1);
-                    complete = false;
-                    break;
-                }
+            // Each frame of each delivery attempt gets an independent,
+            // deterministic decision.
+            if gtpin_faults::inject_next(site::SERVE_CONN_DROP, ident).is_some() {
+                gtpin_faults::note("recovered.serve_conn_drop", 1);
+                gtpin_obs::counter_add("serve.conn_dropped", 1);
+                complete = false;
+                break;
             }
             frames.extend_from_slice(&wire::encode_message(&response)?);
         }
@@ -614,15 +590,9 @@ impl SessionEngine {
     /// `serve.session_crash` seam fires here, before any shared
     /// state is touched.
     fn compute(&self, request: &Request, key: &str) -> Result<(String, u64), (String, String)> {
-        if gtpin_faults::enabled() {
-            let ident = gtpin_faults::hash_str(key);
-            let occ = gtpin_faults::occurrence(site::SERVE_SESSION_CRASH, ident);
-            if gtpin_faults::should_inject(
-                site::SERVE_SESSION_CRASH,
-                ident.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(occ),
-            ) {
-                std::panic::panic_any(gtpin_faults::INJECTED_PANIC_MARKER);
-            }
+        let ident = gtpin_faults::hash_str(key);
+        if gtpin_faults::inject_next(site::SERVE_SESSION_CRASH, ident).is_some() {
+            std::panic::panic_any(gtpin_faults::INJECTED_PANIC_MARKER);
         }
         match request {
             Request::Profile { app, scale } => self.compute_profile(app, scale),
@@ -660,37 +630,14 @@ impl SessionEngine {
         for ir in &program.source.kernels {
             let bin = compile_kernel(ir).map_err(|e| ("jit".to_string(), e.to_string()))?;
             let hash = gtpin_analyze::report::fnv64(&bin.encode());
-            let cached = {
-                let mut map = lock(&self.analyses);
-                match map.get_mut(&hash) {
-                    // Verify-on-read over the rendered report text;
-                    // a corrupted entry is quarantined and the CFG
-                    // re-analyzed (deterministic, so identical).
-                    Some(slot) => match slot.verified(hash) {
-                        Some(a) => Some(a),
-                        None => {
-                            map.remove(&hash);
-                            gtpin_faults::sealed::note_heal("serve.analysis");
-                            None
-                        }
-                    },
-                    None => None,
-                }
-            };
+            let cached = lock(&self.analyses).get(&hash);
             let analysis = match cached {
-                Some(a) => {
-                    gtpin_obs::counter_add("serve.memo_analyze_hit", 1);
-                    a
-                }
+                Some(a) => a,
                 None => {
                     let a = gtpin_analyze::analyze_kernel(&bin, &params)
                         .map_err(|e| ("analyze".to_string(), e.to_string()))?;
                     let canary = a.render().into_bytes();
-                    lock(&self.analyses)
-                        .entry(hash)
-                        .or_insert_with(|| SealedSlot::new(Arc::new(a), canary))
-                        .value
-                        .clone()
+                    lock(&self.analyses).insert(hash, hash, a, canary)
                 }
             };
             kernels += 1;
@@ -713,31 +660,13 @@ impl SessionEngine {
         Ok((report, virtual_ns))
     }
 
-    /// The memoized one-time profiling pass for `(app, scale)`.
-    /// Verify-on-read: the cached entry's canary (the serialized
-    /// trace data) must prove itself on every hit; a corrupted entry
-    /// is quarantined and the pass recomputes — bitwise identical,
+    /// The memoized one-time profiling pass for `(app, scale)`. A
+    /// corrupted entry heals by recomputing — bitwise identical,
     /// since profiling is deterministic.
     fn profiled(&self, app: &str, scale: &str) -> Result<Arc<ProfiledApp>, (String, String)> {
         let scale = parse_scale(scale)?;
         let memo_key = format!("{app}/{scale:?}");
-        let ident = gtpin_faults::hash_str(&memo_key);
-        let cached = {
-            let mut map = lock(&self.profiles);
-            match map.get_mut(&memo_key) {
-                Some(slot) => match slot.verified(ident) {
-                    Some(p) => Some(p),
-                    None => {
-                        map.remove(&memo_key);
-                        gtpin_faults::sealed::note_heal("serve.profile");
-                        None
-                    }
-                },
-                None => None,
-            }
-        };
-        if let Some(p) = cached {
-            gtpin_obs::counter_add("serve.memo_profile_hit", 1);
+        if let Some(p) = lock(&self.profiles).get(&memo_key) {
             return Ok(p);
         }
         let spec = lookup_spec(app)?;
@@ -752,38 +681,16 @@ impl SessionEngine {
         let canary = serde_json::to_string(&profiled.data)
             .unwrap_or_default()
             .into_bytes();
-        // First writer wins on a duplicate-compute race; the work is
-        // deterministic, so either Arc is the same data.
-        Ok(lock(&self.profiles)
-            .entry(memo_key)
-            .or_insert_with(|| SealedSlot::new(Arc::new(profiled), canary))
-            .value
-            .clone())
+        let ident = gtpin_faults::hash_str(&memo_key);
+        Ok(lock(&self.profiles).insert(memo_key, ident, profiled, canary))
     }
 
-    /// The memoized 30-configuration sweep for `(app, scale)`.
-    /// Verify-on-read with quarantine-and-recompute, like
-    /// [`Self::profiled`].
+    /// The memoized 30-configuration sweep for `(app, scale)`, healed
+    /// like [`Self::profiled`].
     fn exploration(&self, app: &str, scale: &str) -> Result<Arc<Exploration>, (String, String)> {
         let parsed = parse_scale(scale)?;
         let memo_key = format!("{app}/{parsed:?}");
-        let ident = gtpin_faults::hash_str(&memo_key) ^ 0x5EED;
-        let cached = {
-            let mut map = lock(&self.explorations);
-            match map.get_mut(&memo_key) {
-                Some(slot) => match slot.verified(ident) {
-                    Some(ex) => Some(ex),
-                    None => {
-                        map.remove(&memo_key);
-                        gtpin_faults::sealed::note_heal("serve.exploration");
-                        None
-                    }
-                },
-                None => None,
-            }
-        };
-        if let Some(ex) = cached {
-            gtpin_obs::counter_add("serve.memo_explore_hit", 1);
+        if let Some(ex) = lock(&self.explorations).get(&memo_key) {
             return Ok(ex);
         }
         let profiled = self.profiled(app, scale)?;
@@ -794,11 +701,8 @@ impl SessionEngine {
             self.config.threads.max(1),
         );
         let canary = serde_json::to_string(&ex).unwrap_or_default().into_bytes();
-        Ok(lock(&self.explorations)
-            .entry(memo_key)
-            .or_insert_with(|| SealedSlot::new(Arc::new(ex), canary))
-            .value
-            .clone())
+        let ident = gtpin_faults::hash_str(&memo_key) ^ 0x5EED;
+        Ok(lock(&self.explorations).insert(memo_key, ident, ex, canary))
     }
 
     fn compute_profile(&self, app: &str, scale: &str) -> Result<(String, u64), (String, String)> {
@@ -1152,6 +1056,36 @@ mod tests {
         drop(cold);
         assert_eq!(e2.handle(&req), first);
         assert_eq!(lock(&e2.analyses).len(), before);
+    }
+
+    #[test]
+    fn failed_computes_insert_nothing_into_the_memos() {
+        let e = engine(ServeConfig::default());
+        let requests = [
+            Request::Profile {
+                app: "no-such-app".to_string(),
+                scale: "test".to_string(),
+            },
+            Request::Explore {
+                app: first_app(),
+                scale: "huge".to_string(),
+                threshold_pct: 5.0,
+            },
+            Request::Analyze {
+                app: "no-such-app".to_string(),
+            },
+        ];
+        for req in &requests {
+            match e.handle(req) {
+                SessionResult::Failed { kind, .. } => assert_eq!(kind, "cli"),
+                other => panic!("expected cli failure, got {other:?}"),
+            }
+        }
+        // Only catalogue keys ever reach an insert, so the memos stay
+        // bounded without eviction.
+        assert!(lock(&e.profiles).is_empty());
+        assert!(lock(&e.explorations).is_empty());
+        assert!(lock(&e.analyses).is_empty());
     }
 
     #[test]

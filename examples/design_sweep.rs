@@ -17,13 +17,10 @@
 //! cargo run --release --example design_sweep
 //! ```
 
-use gtpin_suite::device::cache::CacheConfig;
-use gtpin_suite::device::checkpoint::{CheckpointLibrary, LaunchDescriptor};
-use gtpin_suite::device::detailed::{DetailedConfig, DetailedSimulator};
 use gtpin_suite::device::{Gpu, GpuConfig, GpuGeneration, GpuTopology};
 use gtpin_suite::par::available_threads;
 use gtpin_suite::runtime::runtime::{OclRuntime, Schedule};
-use gtpin_suite::selection::{profile_app, Exploration};
+use gtpin_suite::selection::{detailed_projection, profile_app, Exploration};
 use gtpin_suite::simpoint::SimpointConfig;
 use gtpin_suite::workloads::{build_program, spec_by_name, Scale};
 
@@ -92,84 +89,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for (name, topology, freq) in designs {
-        // Full-program detailed simulation (what the paper wants to avoid).
-        let mut full_sim = DetailedSimulator::new(topology, freq, DetailedConfig::default());
-        let (full_cycles, full_instrs) = simulate(&gpu, &mut full_sim, 0..data.invocations.len());
-
-        // Subset-only detailed simulation, extrapolated by ratios.
-        // Each sample starts from a PinPlay-style checkpoint: warm
-        // cache state captured by one cheap functional replay
-        // (gpu_device::checkpoint), so samples pay no cold-start
-        // penalty and no detailed warm-up cycles.
-        let kernels: Vec<_> = (0..program.source.kernels.len())
-            .map(|i| gpu.driver().kernel(i).expect("built").clone())
-            .collect();
-        let descriptors: Vec<LaunchDescriptor> = gpu
-            .launches()
-            .iter()
-            .map(|l| LaunchDescriptor {
-                kernel_index: l.kernel.index(),
-                args: l.args.clone(),
-                global_work_size: l.global_work_size,
-            })
-            .collect();
-        let boundaries: Vec<usize> = selection
-            .selection
-            .picks
-            .iter()
-            .map(|p| selection.intervals[p.interval].start)
-            .collect();
-        let checkpoints = CheckpointLibrary::build(
-            &kernels,
-            &descriptors,
-            CacheConfig::llc_slice(topology.llc_slice_kib),
-            &boundaries,
-        )?;
-
-        let mut projected_cpi = 0.0;
-        let mut subset_instrs = 0u64;
-        for pick in &selection.selection.picks {
-            let iv = selection.intervals[pick.interval];
-            let mut sim = DetailedSimulator::new(topology, freq, DetailedConfig::default());
-            if let Some(cache) = checkpoints.cache_before(iv.start) {
-                sim.restore_cache(cache.clone());
-            }
-            let (cycles, instrs) = simulate(&gpu, &mut sim, iv.start..iv.end);
-            subset_instrs += instrs;
-            projected_cpi += pick.ratio * cycles as f64 / instrs.max(1) as f64;
-        }
-        let projected_cycles = projected_cpi * full_instrs as f64;
-        let error = (projected_cycles - full_cycles as f64).abs() / full_cycles as f64 * 100.0;
+        // Full-program detailed simulation (what the paper wants to
+        // avoid) against subset-only simulation extrapolated by ratios,
+        // each sample starting from a warm-cache checkpoint.
+        let p = detailed_projection(selection, &gpu, topology, freq)?;
         println!(
             "{:34} {:>16} {:>16.0} {:>7.2}% {:>8.1}x",
             name,
-            full_cycles,
-            projected_cycles,
-            error,
-            full_instrs as f64 / subset_instrs as f64
+            p.full_cycles,
+            p.projected_cycles,
+            p.error_pct,
+            p.full_instructions as f64 / p.subset_instructions as f64
         );
     }
     println!();
     println!("'sim work' is the detailed-simulation reduction: the subset predicts");
     println!("each design's full-program cycles from a fraction of the instructions");
     Ok(())
-}
-
-/// Detailed-simulate a range of invocations on a candidate design;
-/// returns (cycles, instructions).
-fn simulate(gpu: &Gpu, sim: &mut DetailedSimulator, range: std::ops::Range<usize>) -> (u64, u64) {
-    let mut cycles = 0u64;
-    let mut instrs = 0u64;
-    for launch in &gpu.launches()[range] {
-        let kernel = gpu
-            .driver()
-            .kernel(launch.kernel.index())
-            .expect("kernel was built");
-        let r = sim
-            .simulate_launch(kernel, &launch.args, launch.global_work_size)
-            .expect("simulation runs");
-        cycles += r.cycles;
-        instrs += r.stats.instructions;
-    }
-    (cycles, instrs)
 }

@@ -35,6 +35,19 @@ if [ -n "$AMBIENT_HITS" ]; then
 fi
 echo "only RunConfig and the obs/faults registries read the environment"
 
+echo "== one-memo gate: every sealed cache goes through gtpin_faults::Memo"
+# A sealed cache verifies its canary on every read and heals on a
+# mismatch; the chaos digests fold that read schedule. Memo is the one
+# place that seals, so no cache can hand-roll its own lookup/heal path.
+SEALED_HITS="$(grep -rn 'Sealed::new(' src crates/*/src \
+    | grep -v '^crates/faults/src/sealed\.rs:' || true)"
+if [ -n "$SEALED_HITS" ]; then
+    echo "$SEALED_HITS"
+    echo "FAIL: a cache seals entries outside gtpin_faults::Memo; use Memo instead"
+    exit 1
+fi
+echo "only gtpin_faults::Memo seals cache entries"
+
 echo "== determinism properties: parallel vs serial at 1..=8 threads"
 # The thread counts are swept inside each property; the gate above
 # proves nothing they reach reads GTPIN_THREADS, so one run suffices.

@@ -123,12 +123,12 @@
 //!            the daemon
 //! ```
 
-use gtpin_suite::chaos::fnv_fold;
 use gtpin_suite::device::{Gpu, GpuConfig};
 use gtpin_suite::durable::Journal;
 use gtpin_suite::faults;
 use gtpin_suite::gtpin::{AppCharacterization, GtPin, RewriteConfig};
 use gtpin_suite::isa::disasm::disassemble_flat;
+use gtpin_suite::obs::frame::fnv_fold;
 use gtpin_suite::par::RunConfig;
 use gtpin_suite::runtime::runtime::{OclRuntime, Schedule};
 use gtpin_suite::selection::{profile_app, run_sweep, Exploration, SweepOptions};
