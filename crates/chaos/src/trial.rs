@@ -52,8 +52,7 @@ use workloads::{all_specs, build_program, Scale};
 use crate::scenario::{OracleKind, Scenario};
 
 /// Default restart budget for the sweep crash/resume loop
-/// (`gtpin chaos` takes `--max-restarts`, then
-/// `GTPIN_CHAOS_MAX_RESTARTS`).
+/// (`gtpin chaos --max-restarts` overrides it).
 pub const DEFAULT_MAX_RESTARTS: u64 = 200;
 
 /// The judged result of one scenario trial.

@@ -24,8 +24,8 @@
 //! partitioned across host workers, which is why the sharded run is
 //! bit-identical to the serial run at any worker count (see DESIGN.md
 //! decision 11). The worker count is passed in
-//! ([`DetailedSimulator::with_workers`]; `gtpin sim` passes
-//! `GTPIN_SIM_THREADS`); a shard worker that panics —
+//! ([`DetailedSimulator::with_workers`]; `gtpin sim` and a served
+//! `sim` session pass their thread count); a shard worker that panics —
 //! genuinely or via the `sim.shard` fault site — abandons the
 //! parallel attempt and the launch re-simulates serially from the
 //! untouched master state, so degradation never changes results.

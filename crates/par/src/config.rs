@@ -4,50 +4,34 @@
 //! Library code never reads the environment. A front end (`gtpin`,
 //! `paper-report`) builds one [`RunConfig`] at start-up with
 //! [`RunConfig::from_env`] and passes explicit values down — thread
-//! counts, supervision limits, lease and retry settings — so a
-//! selection, a digest or a report is a pure function of the app and
-//! the values passed in, never of whatever the process inherited. A
-//! malformed value is an error naming the variable, raised before any
-//! work runs, instead of a silently clamped knob.
+//! counts and supervision limits — so a selection, a digest or a
+//! report is a pure function of the app and the values passed in,
+//! never of whatever the process inherited. A malformed value is an
+//! error naming the variable, raised before any work runs, instead of
+//! a silently clamped knob. So is a set `GTPIN_*` variable that no
+//! knob reads: a misspelled or retired knob fails loudly instead of
+//! being ignored. The accepted names are exactly the ones the parser
+//! reads; there is no second table of them.
 //!
 //! Two knob families are validated here but not carried:
 //! `GTPIN_OBS`/`GTPIN_OBS_DIR` and `GTPIN_FAULTS`/`GTPIN_FAULTS_SEED`
 //! arm process-wide registries ([`gtpin_obs`], [`gtpin_faults`]) that
 //! sit below this crate and read their own variables on first use.
 
-use crate::supervisor::SupervisorConfig;
+use std::collections::BTreeMap;
 
-/// Session lease length when `GTPIN_LEASE_MS` is unset — generous
-/// relative to test-scale virtual time, so only genuinely stuck
-/// sessions are reaped.
-pub const DEFAULT_LEASE_VIRTUAL_MS: u64 = 60_000;
-/// Client attempt cap when `GTPIN_RETRY_MAX` is unset.
-pub const DEFAULT_RETRY_MAX: u32 = 3;
-/// Client base backoff when `GTPIN_RETRY_BASE_MS` is unset.
-pub const DEFAULT_RETRY_BASE_MS: u64 = 10;
+use crate::supervisor::SupervisorConfig;
 
 /// Every `GTPIN_*` knob a front end passes down, one field per knob.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunConfig {
-    /// `GTPIN_THREADS`: fan-out width; defaults to the machine's
-    /// available parallelism.
+    /// `GTPIN_THREADS`: fan-out width — exploration workers, executor
+    /// fan-out and detailed-simulator shard workers alike; defaults to
+    /// the machine's available parallelism.
     pub threads: usize,
-    /// `GTPIN_SIM_THREADS`: detailed-simulator shard workers;
-    /// defaults to `threads`.
-    pub sim_threads: usize,
     /// `GTPIN_DEADLINE_MS`, `GTPIN_BREAKER`, `GTPIN_MAX_TASKS` and
     /// `GTPIN_MAX_VIRTUAL_MS` over [`SupervisorConfig::default`].
     pub supervisor: SupervisorConfig,
-    /// `GTPIN_LEASE_MS`: serve session lease in virtual milliseconds.
-    pub lease_virtual_ms: u64,
-    /// `GTPIN_RETRY_MAX`: serve client attempt cap.
-    pub retry_max: u32,
-    /// `GTPIN_RETRY_BASE_MS`: serve client base backoff.
-    pub retry_base_ms: u64,
-    /// `GTPIN_CHAOS_SEED`: chaos base seed, when set.
-    pub chaos_seed: Option<u64>,
-    /// `GTPIN_CHAOS_MAX_RESTARTS`: chaos restart budget, when set.
-    pub chaos_max_restarts: Option<u64>,
 }
 
 /// The machine's available parallelism (at least 1): the thread
@@ -59,17 +43,20 @@ pub fn available_threads() -> usize {
 }
 
 impl RunConfig {
-    /// [`RunConfig::from_vars`] over the process environment. Values
-    /// that are not valid Unicode count as unset.
+    /// [`RunConfig::from_vars`] over the process environment. A name
+    /// or value that is not valid Unicode is read lossily, so it is
+    /// refused as unknown or malformed instead of counting as unset.
     ///
     /// # Errors
     ///
     /// See [`RunConfig::from_vars`].
     pub fn from_env() -> Result<RunConfig, String> {
-        RunConfig::from_vars(|name| std::env::var(name).ok())
+        let lossy = |s: std::ffi::OsString| s.to_string_lossy().into_owned();
+        RunConfig::from_vars(std::env::vars_os().map(|(name, value)| (lossy(name), lossy(value))))
     }
 
-    /// Parse every knob from `var` (name → value, `None` when unset).
+    /// Parse every knob from `vars` (name → value pairs; names without
+    /// the `GTPIN_` prefix are ignored).
     ///
     /// # Errors
     ///
@@ -77,52 +64,70 @@ impl RunConfig {
     /// a thread count that is not a positive integer, a limit that is
     /// not an unsigned integer, a flag outside the on/off vocabulary
     /// of [`gtpin_obs::parse_flag`], or a fault plan
-    /// [`gtpin_faults::FaultPlan::parse`] rejects.
-    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<RunConfig, String> {
-        let threads = knob(&var, "GTPIN_THREADS", thread_count)?.unwrap_or_else(available_threads);
-        let ms_to_ns = |ms: u64| ms.saturating_mul(1_000_000);
-        let defaults = SupervisorConfig::default();
-        let supervisor = SupervisorConfig {
-            deadline_virtual_ns: knob(&var, "GTPIN_DEADLINE_MS", limit)?.map(ms_to_ns),
-            breaker_threshold: knob(&var, "GTPIN_BREAKER", limit)?
-                .unwrap_or(defaults.breaker_threshold),
-            max_tasks: knob(&var, "GTPIN_MAX_TASKS", limit)?,
-            max_virtual_ns: knob(&var, "GTPIN_MAX_VIRTUAL_MS", limit)?.map(ms_to_ns),
-            ..defaults
-        };
-
-        // Validated, not carried: the registries read these on first use.
-        knob(&var, gtpin_obs::OBS_ENV, flag)?;
-        let faults_seed = knob(&var, gtpin_faults::FAULTS_SEED_ENV, limit)?;
-        if let Some(raw) = var(gtpin_faults::FAULTS_ENV) {
-            let seed = faults_seed.unwrap_or(gtpin_faults::DEFAULT_SEED);
-            gtpin_faults::FaultPlan::parse(&raw, seed).map_err(|e| {
-                format!(
-                    "{}={raw:?} is not a valid fault plan: {e}",
-                    gtpin_faults::FAULTS_ENV
-                )
-            })?;
+    /// [`gtpin_faults::FaultPlan::parse`] rejects. Failing that, every
+    /// set `GTPIN_*` variable the parse did not read, named next to
+    /// the knobs it did.
+    pub fn from_vars(
+        vars: impl IntoIterator<Item = (String, String)>,
+    ) -> Result<RunConfig, String> {
+        let mut set: BTreeMap<String, String> = vars
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("GTPIN_"))
+            .collect();
+        let mut known = Vec::new();
+        let config = parse_knobs(&mut |name| {
+            known.push(name);
+            set.remove(name)
+        })?;
+        if set.is_empty() {
+            return Ok(config);
         }
-
-        Ok(RunConfig {
-            threads,
-            sim_threads: knob(&var, "GTPIN_SIM_THREADS", thread_count)?.unwrap_or(threads),
-            supervisor,
-            lease_virtual_ms: knob(&var, "GTPIN_LEASE_MS", limit)?
-                .unwrap_or(DEFAULT_LEASE_VIRTUAL_MS),
-            retry_max: knob(&var, "GTPIN_RETRY_MAX", limit)?.unwrap_or(DEFAULT_RETRY_MAX),
-            retry_base_ms: knob(&var, "GTPIN_RETRY_BASE_MS", limit)?
-                .unwrap_or(DEFAULT_RETRY_BASE_MS),
-            chaos_seed: knob(&var, "GTPIN_CHAOS_SEED", limit)?,
-            chaos_max_restarts: knob(&var, "GTPIN_CHAOS_MAX_RESTARTS", limit)?,
-        })
+        let unknown = set.into_keys().collect::<Vec<_>>().join(", ");
+        Err(format!(
+            "unknown knob(s) {unknown}: unset them (known knobs: {})",
+            known.join(", ")
+        ))
     }
+}
+
+/// Every knob, read through `var` (name → value, `None` when unset).
+fn parse_knobs(var: &mut impl FnMut(&'static str) -> Option<String>) -> Result<RunConfig, String> {
+    let threads = knob(var, "GTPIN_THREADS", thread_count)?.unwrap_or_else(available_threads);
+    let ms_to_ns = |ms: u64| ms.saturating_mul(1_000_000);
+    let defaults = SupervisorConfig::default();
+    let supervisor = SupervisorConfig {
+        deadline_virtual_ns: knob(var, "GTPIN_DEADLINE_MS", limit)?.map(ms_to_ns),
+        breaker_threshold: knob(var, "GTPIN_BREAKER", limit)?.unwrap_or(defaults.breaker_threshold),
+        max_tasks: knob(var, "GTPIN_MAX_TASKS", limit)?,
+        max_virtual_ns: knob(var, "GTPIN_MAX_VIRTUAL_MS", limit)?.map(ms_to_ns),
+        ..defaults
+    };
+
+    // Validated, not carried: the registries read these on first use.
+    knob(var, gtpin_obs::OBS_ENV, flag)?;
+    // Any path is a valid artifact directory; read so it is known.
+    var(gtpin_obs::OBS_DIR_ENV);
+    let faults_seed = knob(var, gtpin_faults::FAULTS_SEED_ENV, limit)?;
+    if let Some(raw) = var(gtpin_faults::FAULTS_ENV) {
+        let seed = faults_seed.unwrap_or(gtpin_faults::DEFAULT_SEED);
+        gtpin_faults::FaultPlan::parse(&raw, seed).map_err(|e| {
+            format!(
+                "{}={raw:?} is not a valid fault plan: {e}",
+                gtpin_faults::FAULTS_ENV
+            )
+        })?;
+    }
+
+    Ok(RunConfig {
+        threads,
+        supervisor,
+    })
 }
 
 /// `name`'s value checked by `parse`, or `None` when it is unset.
 fn knob<T>(
-    var: &impl Fn(&str) -> Option<String>,
-    name: &str,
+    var: &mut impl FnMut(&'static str) -> Option<String>,
+    name: &'static str,
     parse: fn(&str, &str) -> Result<T, String>,
 ) -> Result<Option<T>, String> {
     var(name).map(|raw| parse(name, &raw)).transpose()
@@ -164,12 +169,7 @@ mod tests {
 
     /// Parse a config from `pairs` alone — no process environment.
     fn parse(pairs: &[(&str, &str)]) -> Result<RunConfig, String> {
-        RunConfig::from_vars(|name| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        })
+        RunConfig::from_vars(pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())))
     }
 
     /// The error for `var=raw`, asserting it names the variable.
@@ -183,25 +183,18 @@ mod tests {
     fn nothing_set_is_the_documented_defaults() {
         let c = parse(&[]).expect("defaults parse");
         assert_eq!(c.threads, available_threads());
-        assert_eq!(c.sim_threads, c.threads);
         assert_eq!(c.supervisor, SupervisorConfig::default());
         assert_eq!(c.supervisor.breaker_threshold, 3);
-        assert_eq!(c.lease_virtual_ms, 60_000);
-        assert_eq!((c.retry_max, c.retry_base_ms), (3, 10));
-        assert_eq!((c.chaos_seed, c.chaos_max_restarts), (None, None));
     }
 
     #[test]
     fn thread_counts_are_positive_integers() {
         for (raw, n) in [("1", 1), ("4", 4), (" 8 ", 8), ("128", 128)] {
             let c = parse(&[("GTPIN_THREADS", raw)]).expect(raw);
-            assert_eq!((c.threads, c.sim_threads), (n, n), "sim follows threads");
+            assert_eq!(c.threads, n);
         }
-        let c = parse(&[("GTPIN_THREADS", "2"), ("GTPIN_SIM_THREADS", "5")]).unwrap();
-        assert_eq!((c.threads, c.sim_threads), (2, 5));
         for bad in ["0", "-1", "four", "4.5", "", "  "] {
             rejects("GTPIN_THREADS", bad);
-            rejects("GTPIN_SIM_THREADS", bad);
         }
     }
 
@@ -212,11 +205,6 @@ mod tests {
             ("GTPIN_BREAKER", "0"),
             ("GTPIN_MAX_TASKS", " 1000 "),
             ("GTPIN_MAX_VIRTUAL_MS", "7"),
-            ("GTPIN_LEASE_MS", "0"),
-            ("GTPIN_RETRY_MAX", "1"),
-            ("GTPIN_RETRY_BASE_MS", "25"),
-            ("GTPIN_CHAOS_SEED", "42"),
-            ("GTPIN_CHAOS_MAX_RESTARTS", "0"),
         ])
         .expect("limits parse");
         assert_eq!(c.supervisor.deadline_virtual_ns, Some(250_000_000));
@@ -224,27 +212,18 @@ mod tests {
         assert_eq!(c.supervisor.max_tasks, Some(1000));
         assert_eq!(c.supervisor.max_virtual_ns, Some(7_000_000));
         assert_eq!(c.supervisor.batch, SupervisorConfig::default().batch);
-        assert_eq!(c.lease_virtual_ms, 0);
-        assert_eq!((c.retry_max, c.retry_base_ms), (1, 25));
-        assert_eq!((c.chaos_seed, c.chaos_max_restarts), (Some(42), Some(0)));
         for var in [
             "GTPIN_DEADLINE_MS",
             "GTPIN_BREAKER",
             "GTPIN_MAX_TASKS",
             "GTPIN_MAX_VIRTUAL_MS",
-            "GTPIN_LEASE_MS",
-            "GTPIN_RETRY_MAX",
-            "GTPIN_RETRY_BASE_MS",
-            "GTPIN_CHAOS_SEED",
-            "GTPIN_CHAOS_MAX_RESTARTS",
         ] {
             for bad in ["-1", "fast", "2.5", "", "1e9"] {
                 rejects(var, bad);
             }
         }
-        // The 32-bit fields reject what would otherwise truncate.
+        // The 32-bit field rejects what would otherwise truncate.
         rejects("GTPIN_BREAKER", "4294967296");
-        rejects("GTPIN_RETRY_MAX", "4294967296");
     }
 
     #[test]
@@ -275,5 +254,66 @@ mod tests {
         rejects(FAULTS_SEED_ENV, "4x2");
         let err = parse(&[(FAULTS_ENV, "1"), (FAULTS_SEED_ENV, "4x2")]).unwrap_err();
         assert!(err.contains(FAULTS_SEED_ENV), "{err}");
+    }
+
+    /// The nine knobs, each at a valid value.
+    const EVERY_KNOB: [(&str, &str); 9] = [
+        ("GTPIN_THREADS", "2"),
+        ("GTPIN_DEADLINE_MS", "1"),
+        ("GTPIN_BREAKER", "1"),
+        ("GTPIN_MAX_TASKS", "1"),
+        ("GTPIN_MAX_VIRTUAL_MS", "1"),
+        ("GTPIN_OBS", "0"),
+        ("GTPIN_OBS_DIR", "target/obs"),
+        ("GTPIN_FAULTS_SEED", "7"),
+        ("GTPIN_FAULTS", "0"),
+    ];
+
+    #[test]
+    fn every_knob_is_accepted_and_other_variables_are_ignored() {
+        let mut pairs = EVERY_KNOB.to_vec();
+        pairs.extend([
+            ("PATH", "/bin"),
+            ("THREADS", "four"),
+            ("gtpin_threads", "x"),
+        ]);
+        assert_eq!(parse(&pairs).map(|c| c.threads), Ok(2));
+    }
+
+    #[test]
+    fn an_unread_gtpin_variable_is_refused_by_name() {
+        // The message lists the accepted names — exactly the nine, in
+        // the order the parser reads them.
+        let known = EVERY_KNOB.map(|(name, _)| name).join(", ");
+        // Retired knobs and misspellings alike: nothing reads them, so
+        // a value set there would otherwise be ignored without a word.
+        for name in [
+            "GTPIN_SIM_THREADS",
+            "GTPIN_CHAOS_SEED",
+            "GTPIN_CHAOS_MAX_RESTARTS",
+            "GTPIN_RETRY_MAX",
+            "GTPIN_RETRY_BASE_MS",
+            "GTPIN_LEASE_MS",
+            "GTPIN_PRESCREEN",
+            "GTPIN_THREAD",
+            "GTPIN_",
+        ] {
+            let err = rejects(name, "4");
+            assert!(err.ends_with(&format!("(known knobs: {known})")), "{err}");
+        }
+        // Every unread name is listed, next to valid knobs.
+        let err = parse(&[
+            ("GTPIN_THREADS", "2"),
+            ("GTPIN_SIM_THREADS", "4"),
+            ("GTPIN_LEASE_MS", "0"),
+        ])
+        .unwrap_err();
+        assert!(
+            err.starts_with("unknown knob(s) GTPIN_LEASE_MS, GTPIN_SIM_THREADS:"),
+            "{err}"
+        );
+        // A malformed knob is still reported as malformed.
+        let err = parse(&[("GTPIN_THREADS", "four"), ("GTPIN_SIM_THREADS", "4")]).unwrap_err();
+        assert!(err.contains("not a valid thread count"), "{err}");
     }
 }

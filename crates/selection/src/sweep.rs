@@ -44,12 +44,8 @@ use crate::pipeline::profile_app;
 pub struct SweepOptions {
     /// Co-optimization error threshold (Figure 7), in percent.
     pub threshold_pct: f64,
-    /// Capture seed for the native recording.
-    pub capture_seed: u64,
     /// Device configuration profiled against.
     pub gpu: GpuConfig,
-    /// SimPoint knobs.
-    pub simpoint: SimpointConfig,
     /// Supervision policy (deadlines, breaker, budget).
     pub supervisor: SupervisorConfig,
     /// Fan-out width for configuration evaluations.
@@ -65,9 +61,7 @@ impl Default for SweepOptions {
     fn default() -> SweepOptions {
         SweepOptions {
             threshold_pct: 3.0,
-            capture_seed: 1,
             gpu: GpuConfig::hd4000(),
-            simpoint: SimpointConfig::default(),
             supervisor: SupervisorConfig::default(),
             threads: 1,
             journal_dir: None,
@@ -86,7 +80,9 @@ pub enum UnitRecord {
     Meta {
         /// `threshold_pct` of the run.
         threshold_pct: f64,
-        /// `capture_seed` of the run.
+        /// Capture seed of the native recording. Always 1, as for
+        /// every other `profile_app` caller; the field stays so sweep
+        /// journals are unchanged and older ones still resume.
         capture_seed: u64,
         /// Supervisor deadline (0 = none).
         deadline_virtual_ns: u64,
@@ -430,7 +426,7 @@ impl UnitStore {
 fn meta_record(opts: &SweepOptions, apps: &[String]) -> UnitRecord {
     UnitRecord::Meta {
         threshold_pct: opts.threshold_pct,
-        capture_seed: opts.capture_seed,
+        capture_seed: 1,
         deadline_virtual_ns: opts.supervisor.deadline_virtual_ns.unwrap_or(0),
         breaker_threshold: opts.supervisor.breaker_threshold,
         max_tasks: opts.supervisor.max_tasks.unwrap_or(0),
@@ -554,7 +550,7 @@ fn sweep_one_app(
         1,
         |_| cached_profile.clone(),
         |_, program| {
-            profile_app(program, opts.gpu, opts.capture_seed)
+            profile_app(program, opts.gpu, 1)
                 .map(|profiled| {
                     let virtual_ns = (profiled.data.total_seconds() * 1e9) as u64;
                     (profiled.data, virtual_ns)
@@ -629,6 +625,7 @@ fn sweep_one_app(
     // the crash granularity — while the supervisor sees the same
     // round boundaries an uninterrupted run would.
     let batch = supervisor.config().batch;
+    let simpoint = SimpointConfig::default();
     let mut outcomes: Vec<Outcome<Evaluation, String>> = Vec::with_capacity(configs.len());
     let mut chunk_start = 0usize;
     while chunk_start < configs.len() {
@@ -676,7 +673,7 @@ fn sweep_one_app(
                     &data,
                     *cfg,
                     &tables[i],
-                    &opts.simpoint,
+                    &simpoint,
                     FeatureWeighting::InstructionWeighted,
                 )
                 .map(|e| {

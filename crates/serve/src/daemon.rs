@@ -329,6 +329,11 @@ pub fn request_once(socket: &Path, request: &Request) -> Result<Vec<Response>, S
     Ok(responses)
 }
 
+/// Client attempt cap of [`RetryPolicy::default`].
+const DEFAULT_RETRY_MAX: u32 = 3;
+/// Client base backoff of [`RetryPolicy::default`].
+const DEFAULT_RETRY_BASE_MS: u64 = 10;
+
 /// Deterministic jittered-backoff retry policy for the one-shot
 /// client. Retryable outcomes are transport failures (connection
 /// refused or dropped mid-stream — `ServeError::Io`/`Wire`) and
@@ -352,8 +357,8 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
         RetryPolicy {
-            max_attempts: gtpin_par::config::DEFAULT_RETRY_MAX,
-            base_ms: gtpin_par::config::DEFAULT_RETRY_BASE_MS,
+            max_attempts: DEFAULT_RETRY_MAX,
+            base_ms: DEFAULT_RETRY_BASE_MS,
             seed: 0x6774_7069_6e21,
         }
     }

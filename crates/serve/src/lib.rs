@@ -38,7 +38,8 @@ pub mod session;
 pub mod wire;
 
 pub use daemon::{request_drain, request_once, request_with_retry, serve, RetryPolicy};
-pub use report::{render_selection, simulate_program, SimError, SimReport};
+pub use report::{lint_program, lint_tally, render_selection, simulate_program, LintError};
+pub use report::{KernelLint, SimError, SimReport};
 pub use session::{ResumeReport, ServeConfig, SessionEngine, SessionRecord, SessionResult};
 
 use std::path::PathBuf;

@@ -1,12 +1,21 @@
 //! The report text the CLI and the daemon share: `gtpin sim` and a
-//! served `sim` session print [`simulate_program`]'s report, and
-//! `gtpin select` and a served `explore` session print
-//! [`render_selection`]'s lines. Each front end keeps its own error
-//! kinds; only the computation and the bytes are shared.
+//! served `sim` session print [`simulate_program`]'s report, `gtpin
+//! select` and a served `explore` session print [`render_selection`]'s
+//! lines, and `gtpin lint` and a served `lint` session print
+//! [`lint_program`]'s findings and [`KernelLint::verify_line`]s. Each
+//! front end keeps its own error kinds and line prefixes; only the
+//! computation and the bytes are shared.
 
+use gen_isa::DecodeError;
 use gpu_device::detailed::{DetailedConfig, DetailedSimulator};
+use gpu_device::jit::{compile_kernel, JitError};
 use gpu_device::ExecError;
 use gpu_device::{Gpu, GpuConfig, GpuGeneration};
+use gtpin_analyze::{
+    lint_kernel, verify_rewrite, Diagnostic, LintConfig, Severity, VerifyError, VerifyReport,
+};
+use gtpin_core::rewriter::rewrite_binary;
+use gtpin_core::RewriteConfig;
 use gtpin_obs::frame::fnv_fold;
 use ocl_runtime::runtime::{OclRuntime, RunError, Schedule};
 use ocl_runtime::HostProgram;
@@ -47,11 +56,10 @@ impl std::fmt::Display for SimError {
     }
 }
 
-/// Replay `program` functionally on the HD 4000 with `exec_threads`
-/// executor workers, then run its first `limit` launches through the
-/// epoch-sharded detailed simulator with `sim_workers` shard workers.
-/// The report names the scale as `scale_label` and is bit-identical
-/// at every thread and worker count.
+/// Replay `program` functionally on the HD 4000, then run its first
+/// `limit` launches through the epoch-sharded detailed simulator, with
+/// `threads` executor and shard workers alike. The report names the
+/// scale as `scale_label` and is bit-identical at every thread count.
 ///
 /// # Errors
 ///
@@ -59,19 +67,18 @@ impl std::fmt::Display for SimError {
 pub fn simulate_program(
     program: &HostProgram,
     scale_label: &str,
-    exec_threads: usize,
-    sim_workers: usize,
+    threads: usize,
     limit: usize,
 ) -> Result<SimReport, SimError> {
     let mut gpu_config = GpuConfig::hd4000();
-    gpu_config.exec.threads = exec_threads;
+    gpu_config.exec.threads = threads;
     let mut rt = OclRuntime::new(Gpu::new(gpu_config));
     rt.run(program, Schedule::Replay).map_err(SimError::Run)?;
     let gpu = rt.into_device();
 
     let topo = GpuGeneration::IvyBridgeHd4000.topology();
     let mut sim =
-        DetailedSimulator::new(topo, 1.15e9, DetailedConfig::default()).with_workers(sim_workers);
+        DetailedSimulator::new(topo, 1.15e9, DetailedConfig::default()).with_workers(threads);
     let launches = gpu.launches();
     let n = launches.len().min(limit);
     let mut digest = 0xCBF2_9CE4_8422_2325u64;
@@ -139,4 +146,89 @@ pub fn render_selection(ex: &Exploration, threshold_pct: f64) -> Option<String> 
         ));
     }
     Some(out)
+}
+
+/// One kernel's lint findings and the safety verdict on its
+/// instrumentation rewrite.
+#[derive(Debug)]
+pub struct KernelLint {
+    /// The kernel's name.
+    pub kernel: String,
+    /// [`lint_kernel`]'s findings.
+    pub diagnostics: Vec<Diagnostic>,
+    /// [`verify_rewrite`]'s verdict with every GT-Pin tool enabled.
+    pub verify: Result<VerifyReport, VerifyError>,
+}
+
+impl KernelLint {
+    /// `verify[ok] <kernel> — <n> probes, <m> repaired branches`, or
+    /// `verify[FAIL] <kernel>: <why>`.
+    pub fn verify_line(&self) -> String {
+        match &self.verify {
+            Ok(v) => format!(
+                "verify[ok] {} — {} probes, {} repaired branches",
+                self.kernel, v.probes, v.repaired_branches
+            ),
+            Err(e) => format!("verify[FAIL] {}: {e}", self.kernel),
+        }
+    }
+}
+
+/// Why [`lint_program`] stopped before a kernel's verdict.
+#[derive(Debug)]
+pub enum LintError {
+    /// The kernel did not compile.
+    Jit(JitError),
+    /// The kernel's flattened stream branches outside itself.
+    Decode(DecodeError),
+    /// The instrumentation rewrite failed.
+    Rewrite(String),
+}
+
+impl std::fmt::Display for LintError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LintError::Jit(e) => write!(f, "{e}"),
+            LintError::Decode(e) => write!(f, "{e}"),
+            LintError::Rewrite(e) => f.write_str(e),
+        }
+    }
+}
+
+/// Compile, lint and instrumentation-verify every kernel of
+/// `program`, in order.
+///
+/// # Errors
+///
+/// The first kernel that fails to compile, decode or rewrite.
+pub fn lint_program(program: &HostProgram) -> Result<Vec<KernelLint>, LintError> {
+    let all_tools = RewriteConfig {
+        time_kernels: true,
+        trace_memory: true,
+        ..RewriteConfig::default()
+    };
+    let lint = |ir| {
+        let kernel = compile_kernel(ir).map_err(LintError::Jit)?;
+        let diagnostics = lint_kernel(&kernel, &LintConfig::for_metadata(&kernel.metadata))
+            .map_err(LintError::Decode)?;
+        let bytes = kernel.encode();
+        let rw = rewrite_binary(&bytes, &all_tools, 0, 0).map_err(LintError::Rewrite)?;
+        let verify = verify_rewrite(&bytes, &rw.bytes);
+        Ok(KernelLint {
+            kernel: kernel.name,
+            diagnostics,
+            verify,
+        })
+    };
+    program.source.kernels.iter().map(lint).collect()
+}
+
+/// The error- and warning-severity finding counts across `lints`.
+pub fn lint_tally(lints: &[KernelLint]) -> (usize, usize) {
+    let findings: Vec<&Diagnostic> = lints.iter().flat_map(|k| &k.diagnostics).collect();
+    let errors = findings
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .count();
+    (errors, findings.len() - errors)
 }

@@ -42,20 +42,27 @@ use gpu_device::{GpuConfig, GpuGeneration};
 use gtpin_durable::Journal;
 use gtpin_faults::{site, Memo};
 use gtpin_obs::frame::fnv_fold;
-use gtpin_par::config::DEFAULT_LEASE_VIRTUAL_MS;
 use gtpin_par::{Admission, Outcome, Supervisor, SupervisorConfig};
 use serde::{Deserialize, Serialize};
 use simpoint::SimpointConfig;
 use subset_select::{default_approx_target, profile_app, Exploration, ProfiledApp};
 use workloads::{build_program, spec_by_name, Scale};
 
-use crate::report::{render_selection, simulate_program, SimError};
+use crate::report::{
+    lint_program, lint_tally, render_selection, simulate_program, LintError, SimError,
+};
 use crate::wire::{self, Request, Response};
 use crate::ServeError;
 
-/// Daemon configuration. `gtpin serve` fills the supervision,
-/// thread and lease fields from its [`gtpin_par::RunConfig`]; the
-/// default leaves them at the library defaults.
+/// Session lease length of [`ServeConfig::default`] — generous
+/// relative to test-scale virtual time, so only genuinely stuck
+/// sessions are reaped.
+const DEFAULT_LEASE_VIRTUAL_MS: u64 = 60_000;
+
+/// Daemon configuration. `gtpin serve` fills the supervision and
+/// thread fields from its [`gtpin_par::RunConfig`] and the socket,
+/// journal and session cap from its flags; every other field keeps
+/// its default.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Unix socket path the daemon binds.
@@ -75,11 +82,11 @@ pub struct ServeConfig {
     /// (including which fault seams it exercises) is a pure function
     /// of this config.
     pub threads: usize,
-    /// Session lease length in virtual milliseconds (`GTPIN_LEASE_MS`,
-    /// 0 disables): each journaled Start carries a virtual-clock
-    /// deadline, and the resume reaper reclaims pending sessions
-    /// whose deadline the clock has passed into `error[lease]`
-    /// instead of recomputing them.
+    /// Session lease length in virtual milliseconds (0 disables):
+    /// each journaled Start carries a virtual-clock deadline, and the
+    /// resume reaper reclaims pending sessions whose deadline the
+    /// clock has passed into `error[lease]` instead of recomputing
+    /// them.
     pub lease_virtual_ms: u64,
 }
 
@@ -792,7 +799,7 @@ fn compute_sim(
         0 => usize::MAX,
         n => usize::try_from(n).unwrap_or(usize::MAX),
     };
-    let report = simulate_program(&program, "Test", threads, threads, limit).map_err(|e| {
+    let report = simulate_program(&program, "Test", threads, limit).map_err(|e| {
         let kind = match e {
             SimError::Run(_) => "run",
             SimError::UnbuiltKernel | SimError::Simulate(_) => "sim",
@@ -807,51 +814,25 @@ fn compute_sim(
 /// Run the static lints and the instrumentation-safety verifier over
 /// every kernel of `app` at test scale.
 fn compute_lint(app: &str) -> Result<(String, u64), (String, String)> {
-    use gpu_device::jit::compile_kernel;
-    use gtpin_analyze::{lint_kernel, verify_rewrite, LintConfig, Severity};
-    use gtpin_core::rewriter::rewrite_binary;
-    use gtpin_core::RewriteConfig;
-
     let spec = lookup_spec(app)?;
-    let program = build_program(&spec, Scale::Test);
-    let verify_config = RewriteConfig {
-        count_basic_blocks: true,
-        time_kernels: true,
-        trace_memory: true,
-        naive_per_instruction_counters: false,
-    };
-
+    let lints = lint_program(&build_program(&spec, Scale::Test)).map_err(|e| {
+        let kind = match e {
+            LintError::Jit(_) => "jit",
+            LintError::Decode(_) | LintError::Rewrite(_) => "lint",
+        };
+        (kind.to_string(), e.to_string())
+    })?;
     let mut report = String::new();
-    let mut kernels = 0usize;
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
-    let mut verify_failures = 0usize;
-    for ir in &program.source.kernels {
-        let kernel = compile_kernel(ir).map_err(|e| ("jit".to_string(), e.to_string()))?;
-        kernels += 1;
-        let diags = lint_kernel(&kernel, &LintConfig::for_metadata(&kernel.metadata))
-            .map_err(|e| ("lint".to_string(), e.to_string()))?;
-        for d in &diags {
-            match d.severity {
-                Severity::Error => errors += 1,
-                Severity::Warning => warnings += 1,
-            }
+    for k in &lints {
+        for d in &k.diagnostics {
             report.push_str(&format!("{d}\n"));
         }
-        let bytes = kernel.encode();
-        let rw =
-            rewrite_binary(&bytes, &verify_config, 0, 0).map_err(|e| ("lint".to_string(), e))?;
-        match verify_rewrite(&bytes, &rw.bytes) {
-            Ok(v) => report.push_str(&format!(
-                "verify[ok] {} — {} probes, {} repaired branches\n",
-                kernel.name, v.probes, v.repaired_branches
-            )),
-            Err(e) => {
-                verify_failures += 1;
-                report.push_str(&format!("verify[FAIL] {}: {e}\n", kernel.name));
-            }
-        }
+        report.push_str(&k.verify_line());
+        report.push('\n');
     }
+    let kernels = lints.len();
+    let (errors, warnings) = lint_tally(&lints);
+    let verify_failures = lints.iter().filter(|k| k.verify.is_err()).count();
     report.push_str(&format!(
         "lint {app}: {kernels} kernel(s): {errors} error(s), {warnings} warning(s)\n"
     ));

@@ -55,17 +55,19 @@ cargo test -q -p simpoint --test prop_parallel
 cargo test -q -p simpoint --test prop_lloyd_oracle
 cargo test -q -p subset-select --test prop_parallel
 
-echo "== sharded-simulator gate: detailed sim serial vs 4 workers, digests diffed"
+echo "== sharded-simulator gate: detailed sim serial vs 4 threads, digests diffed"
 SIM_DIR="$(pwd)/target/sim-check"
 rm -rf "$SIM_DIR"
 mkdir -p "$SIM_DIR"
 SIM_APP=sandra-crypt-aes128
-GTPIN_SIM_THREADS=1 ./target/release/gtpin sim "$SIM_APP" \
+# GTPIN_THREADS sets both the functional replay's executor fan-out
+# and the simulator's shard workers.
+GTPIN_THREADS=1 ./target/release/gtpin sim "$SIM_APP" \
     > "$SIM_DIR/serial.txt" 2>/dev/null
-GTPIN_SIM_THREADS=4 ./target/release/gtpin sim "$SIM_APP" \
+GTPIN_THREADS=4 ./target/release/gtpin sim "$SIM_APP" \
     > "$SIM_DIR/sharded.txt" 2>/dev/null
 diff -u "$SIM_DIR/serial.txt" "$SIM_DIR/sharded.txt" || {
-    echo "FAIL: 4-worker detailed simulation diverged from serial"
+    echo "FAIL: 4-thread detailed simulation diverged from serial"
     exit 1
 }
 grep -q "stats digest:" "$SIM_DIR/serial.txt" || {
@@ -73,7 +75,7 @@ grep -q "stats digest:" "$SIM_DIR/serial.txt" || {
     echo "FAIL: gtpin sim did not emit a stats digest"
     exit 1
 }
-echo "4-worker stats digest is byte-identical to serial"
+echo "4-thread stats digest is byte-identical to serial"
 
 echo "== telemetry smoke: tier-1 tests under GTPIN_OBS=1"
 # Absolute dir: test binaries run with per-crate working directories.
@@ -89,7 +91,7 @@ echo "== GTOBS01 gate: flushed sim journal verifies, converts, matches artifacts
 OBS_SIM_DIR="$(pwd)/target/obs-sim-check"
 rm -rf "$OBS_SIM_DIR"
 mkdir -p "$OBS_SIM_DIR"
-GTPIN_OBS=1 GTPIN_OBS_DIR="$OBS_SIM_DIR" GTPIN_SIM_THREADS=4 \
+GTPIN_OBS=1 GTPIN_OBS_DIR="$OBS_SIM_DIR" GTPIN_THREADS=4 \
     ./target/release/gtpin sim sandra-crypt-aes128 >/dev/null 2>&1
 # CRC + version + structure verification of the binary journal.
 ./target/release/gtpin obs-verify "$OBS_SIM_DIR/journal.gtobs"
@@ -112,21 +114,21 @@ diff -q "$OBS_SIM_DIR/trace.json" "$OBS_SIM_DIR/converted-trace.json" || {
 # to the legacy direct exporters.
 cargo test -q -p gtpin-obs --test golden
 
-echo "== obs-timeline determinism: per-EU report diffed across 1/2/4/8 sim threads"
+echo "== obs-timeline determinism: per-EU report diffed across 1/2/4/8 threads"
 TL_DIR="$(pwd)/target/obs-timeline-check"
 rm -rf "$TL_DIR"
 mkdir -p "$TL_DIR"
 for T in 1 2 4 8; do
     rm -rf "$TL_DIR/run-$T"
     mkdir -p "$TL_DIR/run-$T"
-    GTPIN_OBS=1 GTPIN_OBS_DIR="$TL_DIR/run-$T" GTPIN_SIM_THREADS=$T \
+    GTPIN_OBS=1 GTPIN_OBS_DIR="$TL_DIR/run-$T" GTPIN_THREADS=$T \
         ./target/release/gtpin sim sandra-crypt-aes128 >/dev/null 2>&1
     ./target/release/gtpin obs-timeline "$TL_DIR/run-$T/journal.gtobs" \
         > "$TL_DIR/timeline-$T.txt" 2>/dev/null
 done
 for T in 2 4 8; do
     diff -u "$TL_DIR/timeline-1.txt" "$TL_DIR/timeline-$T.txt" || {
-        echo "FAIL: obs-timeline at GTPIN_SIM_THREADS=$T diverged from serial"
+        echo "FAIL: obs-timeline at GTPIN_THREADS=$T diverged from serial"
         exit 1
     }
 done
@@ -135,7 +137,7 @@ grep -q "eu" "$TL_DIR/timeline-1.txt" || {
     echo "FAIL: obs-timeline emitted no per-EU table"
     exit 1
 }
-echo "obs-timeline is byte-identical at 1/2/4/8 sim threads"
+echo "obs-timeline is byte-identical at 1/2/4/8 threads"
 
 echo "== paper report: digest pinned, 1 vs 4 threads diffed"
 # Every table and figure of the paper at test scale, rendered from one

@@ -7,9 +7,6 @@
 //!     --time-kernels                  enable the kernel timer tool
 //!     --trace-memory                  enable memory tracing
 //!     --json <path>                   dump the profile as JSON
-//!     --journal <dir>                 journal the profile to a fresh dir
-//!     --resume <dir>                  recover <dir>; skip the run if its
-//!                                     profile is already journaled
 //! gtpin select <app> [threshold%]     explore configs and print selections
 //! gtpin explore <app>...|--all [opts] supervised exploration sweep over
 //!                                     many apps (crash-consistent)
@@ -26,10 +23,10 @@
 //!     the partial report and exits nonzero with error[budget])
 //! gtpin sim <app> [options]           detailed-simulate an app's launches
 //!                                     and print a deterministic stats
-//!                                     digest (worker count from
-//!                                     GTPIN_SIM_THREADS, falling back to
-//!                                     GTPIN_THREADS; the digest is
-//!                                     bit-identical at every count)
+//!                                     digest (executor and shard
+//!                                     workers from GTPIN_THREADS; the
+//!                                     digest is bit-identical at every
+//!                                     count)
 //!     --scale test|default            workload scale (default: test)
 //!     --launches <n>                  simulate only the first n launches
 //! gtpin disasm <app> [kernel-index]   disassemble a JIT-compiled kernel
@@ -80,15 +77,13 @@
 //!                                     GTPIN_THREADS and across a mid-run
 //!                                     kill/resume of the chaos run itself)
 //!     --seeds <n>                     scenarios to run (default 5)
-//!     --seed-base <n>                 first seed (default GTPIN_CHAOS_SEED
-//!                                     or 0)
+//!     --seed-base <n>                 first seed (default 0)
 //!     --journal <dir>                 journal completed scenarios to a
 //!                                     fresh directory
 //!     --resume <dir>                  recover <dir>; skip completed
 //!                                     scenarios, identical final digest
 //!     --max-restarts <n>              sweep crash/resume budget per
-//!                                     scenario (default
-//!                                     GTPIN_CHAOS_MAX_RESTARTS or 200)
+//!                                     scenario (default 200)
 //!     --pinned                        run the pinned set instead: one
 //!                                     scenario per fault contract, all
 //!                                     seeded with --seed-base; lossless
@@ -116,15 +111,19 @@
 //!                                     transient failures (connect/IO/wire
 //!                                     errors, error[busy] sheds) retry
 //!                                     with deterministic seeded jittered
-//!                                     backoff (GTPIN_RETRY_MAX attempts,
-//!                                     GTPIN_RETRY_BASE_MS base delay)
+//!                                     backoff (3 attempts, 10 ms base
+//!                                     delay)
 //!     kinds: profile [--scale s], explore [--scale s] [--threshold pct],
 //!            sim [--launches n], lint, analyze; --socket <path> selects
 //!            the daemon
 //! ```
+//!
+//! Every `GTPIN_*` variable must be one of the knobs named above
+//! (plus `GTPIN_OBS`, `GTPIN_OBS_DIR`, `GTPIN_FAULTS` and
+//! `GTPIN_FAULTS_SEED`); a malformed or unknown one exits 2 with
+//! `error[cli]` before any work runs.
 
 use gtpin_suite::device::{Gpu, GpuConfig};
-use gtpin_suite::durable::Journal;
 use gtpin_suite::faults;
 use gtpin_suite::gtpin::{AppCharacterization, GtPin, RewriteConfig};
 use gtpin_suite::isa::disasm::disassemble_flat;
@@ -136,20 +135,18 @@ use gtpin_suite::serve::{render_selection, simulate_program, SimError};
 use gtpin_suite::simpoint::SimpointConfig;
 use gtpin_suite::workloads::{all_specs, build_program, luxmark_score, spec_by_name, Scale};
 use gtpin_suite::GtPinError;
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Every GTPIN_* knob is parsed here, once; commands get explicit
-    // values from it. A malformed knob (GTPIN_THREADS=four,
-    // GTPIN_DEADLINE_MS=fast) fails before any work runs.
+    // values from it. A malformed or unknown knob (GTPIN_THREADS=four,
+    // GTPIN_THREAD=4) is a usage error, raised before any work runs.
     let config = match RunConfig::from_env() {
         Ok(config) => config,
         Err(e) => {
-            let e: GtPinError = e.into();
-            eprintln!("error[{}]: {e}", e.kind());
-            std::process::exit(1);
+            eprintln!("error[cli]: {e}");
+            std::process::exit(2);
         }
     };
     let result = match args.first().map(String::as_str) {
@@ -166,9 +163,9 @@ fn main() {
         Some("obs-verify") => cmd_obs_verify(&args[1..]),
         Some("obs-convert") => cmd_obs_convert(&args[1..]),
         Some("obs-timeline") => cmd_obs_timeline(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..], &config),
+        Some("chaos") => cmd_chaos(&args[1..]),
         Some("serve") => cmd_serve(&args[1..], &config),
-        Some("request") => cmd_request(&args[1..], &config),
+        Some("request") => cmd_request(&args[1..]),
         _ => {
             eprintln!(
                 "usage: gtpin <list|run|select|explore|sim|disasm|lint|analyze|luxmark|obs-report|obs-verify|obs-convert|obs-timeline|chaos|serve|request> [args]"
@@ -254,18 +251,6 @@ fn parse_journal_flags(args: &[String]) -> Result<(Option<PathBuf>, bool), GtPin
     }
 }
 
-/// One durable `gtpin run` unit: everything needed to reprint the
-/// characterization (and re-dump `--json`) without re-running.
-#[derive(Debug, Serialize, Deserialize)]
-struct RunRecord {
-    /// Identity of the run this record caches.
-    key: String,
-    /// The exact report text the fresh run printed.
-    report: String,
-    /// The profile, pre-serialized for `--json` on resume.
-    profile_json: String,
-}
-
 fn cmd_run(args: &[String], run_config: &RunConfig) -> CliResult {
     let spec = parse_app(args)?;
     let scale = parse_scale(args)?;
@@ -275,71 +260,27 @@ fn cmd_run(args: &[String], run_config: &RunConfig) -> CliResult {
         trace_memory: args.iter().any(|a| a == "--trace-memory"),
         naive_per_instruction_counters: false,
     };
-    let (journal_dir, resume) = parse_journal_flags(args)?;
-    let key = format!(
-        "run/{}/{:?}/tk={}/tm={}",
-        spec.name, scale, config.time_kernels, config.trace_memory
-    );
-
-    let mut journal = None;
-    let mut cached: Option<RunRecord> = None;
-    if let Some(dir) = &journal_dir {
-        if resume {
-            let (j, recovery) = Journal::recover(dir)?;
-            for payload in &recovery.records {
-                let text = String::from_utf8_lossy(payload);
-                match serde_json::from_str::<RunRecord>(&text) {
-                    Ok(r) if r.key == key => cached = Some(r),
-                    _ => {}
-                }
-            }
-            journal = Some(j);
-        } else {
-            journal = Some(Journal::create(dir)?);
-        }
+    let program = build_program(&spec, scale);
+    let mut gpu = Gpu::new(hd4000(run_config));
+    let gtpin = GtPin::new(config);
+    gtpin.attach(&mut gpu);
+    let mut rt = OclRuntime::new(gpu);
+    let report = rt.run(&program, Schedule::Replay)?;
+    let profile = gtpin.profile(spec.name);
+    let device = rt.into_device();
+    let mut launch_stats = gtpin_suite::device::stats::ExecutionStats::default();
+    for launch in device.launches() {
+        launch_stats.merge(&launch.stats);
     }
 
-    let record = match cached {
-        Some(record) => {
-            eprintln!("resume: profile of {} replayed from the journal", spec.name);
-            record
-        }
-        None => {
-            let program = build_program(&spec, scale);
-            let mut gpu = Gpu::new(hd4000(run_config));
-            let gtpin = GtPin::new(config);
-            gtpin.attach(&mut gpu);
-            let mut rt = OclRuntime::new(gpu);
-            let report = rt.run(&program, Schedule::Replay)?;
-            let profile = gtpin.profile(spec.name);
-            let device = rt.into_device();
-            let mut launch_stats = gtpin_suite::device::stats::ExecutionStats::default();
-            for launch in device.launches() {
-                launch_stats.merge(&launch.stats);
-            }
-
-            let text = format!(
-                "{}\n\ninstrumentation: {:.2}x dynamic instruction overhead across {} kernels\n",
-                AppCharacterization::new(&report.cofluent, &profile)
-                    .with_measured_overhead(&launch_stats),
-                profile.dynamic_overhead_factor(),
-                profile.unique_kernels()
-            );
-            let record = RunRecord {
-                key,
-                report: text,
-                profile_json: serde_json::to_string_pretty(&profile)?,
-            };
-            if let Some(j) = &mut journal {
-                j.append(serde_json::to_string(&record)?.as_bytes())?;
-            }
-            record
-        }
-    };
-
-    print!("{}", record.report);
+    print!(
+        "{}\n\ninstrumentation: {:.2}x dynamic instruction overhead across {} kernels\n",
+        AppCharacterization::new(&report.cofluent, &profile).with_measured_overhead(&launch_stats),
+        profile.dynamic_overhead_factor(),
+        profile.unique_kernels()
+    );
     if let Some(path) = flag_value(args, "--json")? {
-        std::fs::write(path, &record.profile_json)?;
+        std::fs::write(path, serde_json::to_string_pretty(&profile)?)?;
         println!("profile written to {path}");
     }
     Ok(())
@@ -362,10 +303,10 @@ fn cmd_select(args: &[String], config: &RunConfig) -> CliResult {
 
 /// `gtpin sim`: run every launch of an app through the epoch-sharded
 /// detailed simulator and print a deterministic digest of the
-/// results. The worker count comes from `GTPIN_SIM_THREADS` (falling
-/// back to `GTPIN_THREADS`); stdout is bit-identical at every count,
-/// which is exactly what the `scripts/check.sh` serial-vs-sharded
-/// gate diffs.
+/// results. `GTPIN_THREADS` sets both the functional replay's
+/// executor fan-out and the shard workers, as in a served `sim`
+/// session; stdout is bit-identical at every count, which is exactly
+/// what the `scripts/check.sh` serial-vs-sharded gate diffs.
 fn cmd_sim(args: &[String], config: &RunConfig) -> CliResult {
     let spec = parse_app(args)?;
     // Detailed simulation is the slow path by design; default to the
@@ -382,19 +323,10 @@ fn cmd_sim(args: &[String], config: &RunConfig) -> CliResult {
 
     // Worker count on stderr only: stdout must diff clean across
     // thread counts.
-    eprintln!(
-        "sim: {} workers (GTPIN_SIM_THREADS / GTPIN_THREADS)",
-        config.sim_threads
-    );
+    eprintln!("sim: {} workers (GTPIN_THREADS)", config.threads);
     let program = build_program(&spec, scale);
-    let report = simulate_program(
-        &program,
-        &format!("{scale:?}"),
-        config.threads,
-        config.sim_threads,
-        limit,
-    )
-    .map_err(|e| match e {
+    let report = simulate_program(&program, &format!("{scale:?}"), config.threads, limit);
+    let report = report.map_err(|e| match e {
         SimError::Run(e) => GtPinError::Run(e),
         SimError::UnbuiltKernel => GtPinError::Msg(e.to_string()),
         SimError::Simulate(e) => GtPinError::Exec(e),
@@ -461,7 +393,6 @@ fn cmd_explore(args: &[String], config: &RunConfig) -> CliResult {
         threads: config.threads,
         journal_dir,
         resume,
-        ..SweepOptions::default()
     };
     let outcome = run_sweep(&programs, &opts)?;
 
@@ -510,9 +441,7 @@ fn cmd_disasm(args: &[String]) -> CliResult {
 }
 
 fn cmd_lint(args: &[String]) -> CliResult {
-    use gtpin_suite::analyze::{lint_kernel, verify_rewrite, LintConfig, Severity};
-    use gtpin_suite::device::jit::compile_kernel;
-    use gtpin_suite::gtpin::rewriter::rewrite_binary;
+    use gtpin_suite::serve::{lint_program, lint_tally, LintError};
 
     let specs: Vec<gtpin_suite::workloads::WorkloadSpec> =
         if args.first().map(String::as_str) == Some("--all") {
@@ -520,12 +449,6 @@ fn cmd_lint(args: &[String]) -> CliResult {
         } else {
             vec![parse_app(args)?]
         };
-    let verify_config = RewriteConfig {
-        count_basic_blocks: true,
-        time_kernels: true,
-        trace_memory: true,
-        naive_per_instruction_counters: false,
-    };
 
     let mut all_diags = Vec::new();
     let mut kernels = 0usize;
@@ -533,37 +456,28 @@ fn cmd_lint(args: &[String]) -> CliResult {
     let mut warnings = 0usize;
     let mut first_verify_failure: Option<GtPinError> = None;
     for spec in &specs {
-        let program = build_program(spec, Scale::Test);
-        for ir in &program.source.kernels {
-            let kernel = compile_kernel(ir)?;
-            kernels += 1;
-
-            let diags = lint_kernel(&kernel, &LintConfig::for_metadata(&kernel.metadata))?;
-            for d in &diags {
-                match d.severity {
-                    Severity::Error => errors += 1,
-                    Severity::Warning => warnings += 1,
-                }
+        let lints = lint_program(&build_program(spec, Scale::Test)).map_err(|e| match e {
+            LintError::Jit(e) => GtPinError::Jit(e),
+            LintError::Decode(e) => GtPinError::Decode(e),
+            LintError::Rewrite(e) => GtPinError::Msg(e),
+        })?;
+        let (e, w) = lint_tally(&lints);
+        kernels += lints.len();
+        errors += e;
+        warnings += w;
+        for k in lints {
+            for d in &k.diagnostics {
                 println!("{}: {d}", spec.name);
             }
-            all_diags.extend(diags);
-
-            // Verifier leg: instrument with every tool enabled and
-            // prove the rewrite only touches dead reserved state.
-            let bytes = kernel.encode();
-            let rw = rewrite_binary(&bytes, &verify_config, 0, 0).map_err(GtPinError::Msg)?;
-            match verify_rewrite(&bytes, &rw.bytes) {
-                Ok(report) => println!(
-                    "{}: verify[ok] {} — {} probes, {} repaired branches",
-                    spec.name, kernel.name, report.probes, report.repaired_branches
-                ),
+            let line = format!("{}: {}", spec.name, k.verify_line());
+            match k.verify {
+                Ok(_) => println!("{line}"),
                 Err(e) => {
-                    eprintln!("{}: verify[FAIL] {}: {e}", spec.name, kernel.name);
-                    if first_verify_failure.is_none() {
-                        first_verify_failure = Some(e.into());
-                    }
+                    eprintln!("{line}");
+                    first_verify_failure = first_verify_failure.or(Some(e.into()));
                 }
             }
+            all_diags.extend(k.diagnostics);
         }
     }
 
@@ -768,7 +682,7 @@ fn cmd_obs_timeline(args: &[String]) -> CliResult {
     reader::verify(&bytes).map_err(GtPinError::from)?;
     let t = reader::timeline(&bytes);
     // Virtual-cycle report on stdout: byte-identical at every
-    // GTPIN_SIM_THREADS setting. Wall-clock barrier stats are host
+    // GTPIN_THREADS setting. Wall-clock barrier stats are host
     // context, so they go to stderr.
     print!("{}", reader::render_timeline(&t));
     if t.barrier.waits > 0 {
@@ -805,12 +719,12 @@ fn cmd_serve(args: &[String], config: &RunConfig) -> CliResult {
         max_sessions,
         supervisor: config.supervisor.clone(),
         threads: config.threads,
-        lease_virtual_ms: config.lease_virtual_ms,
+        ..ServeConfig::default()
     })?;
     Ok(())
 }
 
-fn cmd_request(args: &[String], config: &RunConfig) -> CliResult {
+fn cmd_request(args: &[String]) -> CliResult {
     use gtpin_suite::serve::wire::{Request, Response};
     let kind = args
         .first()
@@ -860,11 +774,7 @@ fn cmd_request(args: &[String], config: &RunConfig) -> CliResult {
     // Transient failures (dead socket, torn frame, busy shed) retry
     // behind deterministic seeded jittered backoff; terminal typed
     // errors come back on the first attempt they are observed.
-    let policy = gtpin_suite::serve::RetryPolicy {
-        max_attempts: config.retry_max,
-        base_ms: config.retry_base_ms,
-        ..Default::default()
-    };
+    let policy = gtpin_suite::serve::RetryPolicy::default();
     let responses = gtpin_suite::serve::request_with_retry(&socket, &request, &policy)?;
     for response in responses {
         match response {
@@ -878,7 +788,7 @@ fn cmd_request(args: &[String], config: &RunConfig) -> CliResult {
     Err("connection closed before a terminal response".into())
 }
 
-fn cmd_chaos(args: &[String], config: &RunConfig) -> CliResult {
+fn cmd_chaos(args: &[String]) -> CliResult {
     use gtpin_suite::chaos::{run_chaos, run_pinned, self_test, ChaosConfig};
 
     if args.iter().any(|a| a == "--self-test") {
@@ -890,19 +800,17 @@ fn cmd_chaos(args: &[String], config: &RunConfig) -> CliResult {
         return Err("chaos --self-test: shrinking did not reach a single site".into());
     }
 
-    // A flag wins over its env knob, which wins over the library
-    // default.
+    // A flag wins over the library default.
     let defaults = ChaosConfig::default();
-    let flag_u64 = |flag: &str| -> Result<Option<u64>, GtPinError> {
-        Ok(flag_value(args, flag)?.map(str::parse).transpose()?)
+    let flag_u64 = |flag: &str, default: u64| -> Result<u64, GtPinError> {
+        Ok(flag_value(args, flag)?
+            .map(str::parse)
+            .transpose()?
+            .unwrap_or(default))
     };
-    let seeds = flag_u64("--seeds")?.unwrap_or(defaults.seeds);
-    let seed_base = flag_u64("--seed-base")?
-        .or(config.chaos_seed)
-        .unwrap_or(defaults.seed_base);
-    let max_restarts = flag_u64("--max-restarts")?
-        .or(config.chaos_max_restarts)
-        .unwrap_or(defaults.max_restarts);
+    let seeds = flag_u64("--seeds", defaults.seeds)?;
+    let seed_base = flag_u64("--seed-base", defaults.seed_base)?;
+    let max_restarts = flag_u64("--max-restarts", defaults.max_restarts)?;
     let (journal_dir, resume) = parse_journal_flags(args)?;
     let pinned = args.iter().any(|a| a == "--pinned");
     if pinned && (journal_dir.is_some() || args.iter().any(|a| a == "--seeds")) {

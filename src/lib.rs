@@ -17,14 +17,15 @@
 //! * [`faults`] — the `GTPIN_FAULTS` deterministic fault-injection
 //!   registry,
 //! * [`durable`] — the crash-consistent write-ahead run journal
-//!   behind `gtpin explore --resume`,
+//!   behind `--resume` of `gtpin explore`, `chaos` and `serve`,
 //! * [`serve`] — the `gtpin serve` profiling daemon: Unix-socket
 //!   protocol, admission control, journaled sessions with resume,
 //! * [`chaos`] — the seeded end-to-end chaos harness behind
 //!   `gtpin chaos` (scenario generation, kill/resume schedules,
 //!   invariant oracles, shrinking),
 //! * [`par`] — deterministic fan-out, the supervisor, and the one
-//!   `RunConfig` every binary parses its `GTPIN_*` knobs into,
+//!   `RunConfig` (thread count and supervision limits) every binary
+//!   parses its `GTPIN_*` knobs into, refusing any it does not read,
 //! * [`simpoint`] — SimPoint-style clustering,
 //! * [`selection`] — simulation subset selection,
 //! * [`workloads`] — the 25 benchmark applications.
