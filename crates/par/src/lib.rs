@@ -215,40 +215,6 @@ where
     parallel_indexed(items.len(), threads, |i| f(i, &items[i]))
 }
 
-/// Fill `out[i] = f(i)` with contiguous chunks fanned across
-/// `threads` workers — the cheap shape for very large `out` (one
-/// chunk per worker, no per-item claiming). Below `min_len` items the
-/// serial loop runs instead; either way the result is identical.
-pub fn parallel_fill<R, F>(out: &mut [R], threads: usize, min_len: usize, f: F)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let n = out.len();
-    if threads <= 1 || n < min_len.max(2) {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return;
-    }
-    let workers = threads.min(n);
-    let chunk = n.div_ceil(workers);
-    let mut span = gtpin_obs::span("par.fill");
-    span.arg_u64("items", n as u64);
-    span.arg_u64("workers", workers as u64);
-    std::thread::scope(|scope| {
-        for (c, piece) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let base = c * chunk;
-                for (j, slot) in piece.iter_mut().enumerate() {
-                    *slot = f(base + j);
-                }
-            });
-        }
-    });
-}
-
 /// The faults registry is process-global and one test in this crate
 /// arms it at rate 1.0; any sibling test running `parallel_*`
 /// concurrently (including the supervisor's) would both hit injected
@@ -273,18 +239,6 @@ mod tests {
         let serial = parallel_map(&items, 1, |i, &x| x * x + i as u64);
         for threads in 2..=8 {
             let par = parallel_map(&items, threads, |i, &x| x * x + i as u64);
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_fill_matches_serial() {
-        let _guard = guard();
-        let mut serial = vec![0u64; 10_000];
-        parallel_fill(&mut serial, 1, 0, |i| (i as u64).wrapping_mul(0x9E37));
-        for threads in 2..=8 {
-            let mut par = vec![0u64; 10_000];
-            parallel_fill(&mut par, threads, 0, |i| (i as u64).wrapping_mul(0x9E37));
             assert_eq!(par, serial, "threads = {threads}");
         }
     }

@@ -3,9 +3,7 @@
 //! score the projection with Equation 1 of the paper.
 
 use serde::{Deserialize, Serialize};
-use simpoint::{
-    select_filtered_with_threads, select_with_threads, SelectError, Selection, SimpointConfig,
-};
+use simpoint::{select_filtered, SelectError, Selection, SimpointConfig};
 
 use crate::data::AppData;
 use crate::features::FeatureKind;
@@ -207,20 +205,13 @@ pub fn evaluate_config_with_table(
     // Quarantined intervals (degraded traces) are excluded from
     // clustering and the remaining weights renormalized; healthy runs
     // have an all-false mask and take the bitwise-identical unfiltered
-    // path inside `select_filtered`. One thread: explore and sweep
-    // already fan out over configurations, and selections are
-    // thread-count invariant.
-    let selection = if table.has_quarantined() {
-        select_filtered_with_threads(
-            &vectors,
-            table.weights(),
-            table.quarantine_mask(),
-            simpoint_config,
-            1,
-        )?
-    } else {
-        select_with_threads(&vectors, table.weights(), simpoint_config, 1)?
-    };
+    // path inside `select_filtered`.
+    let selection = select_filtered(
+        &vectors,
+        table.weights(),
+        table.quarantine_mask(),
+        simpoint_config,
+    )?;
 
     let measured = data.measured_spi();
     let projected: f64 = selection

@@ -48,7 +48,4 @@ pub use pipeline::{profile_app, replay_timings, PipelineError, ProfiledApp};
 pub use sweep::{
     run_sweep, AppSweepSummary, SweepOptions, SweepOutcome, SweepReport, SweepStats, UnitRecord,
 };
-pub use validate::{
-    cross_error_pct, detailed_projection, validate_against_with_threads, DetailedProjection,
-    ValidationPoint,
-};
+pub use validate::{cross_error_pct, detailed_projection, DetailedProjection};

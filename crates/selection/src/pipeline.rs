@@ -11,7 +11,7 @@
 //! step 1 on a differently-configured device and swap the timings
 //! into the existing dataset.
 
-use gpu_device::{Gpu, GpuConfig};
+use gpu_device::{ExecError, Gpu, GpuConfig};
 use gtpin_core::{GtPin, ProgramProfile, RewriteConfig};
 use ocl_runtime::cofluent::{CofluentReport, Recording};
 use ocl_runtime::host::HostProgram;
@@ -19,13 +19,24 @@ use ocl_runtime::runtime::{OclRuntime, RunError};
 
 use crate::data::{AppData, MergeError};
 
-/// Errors from the profiling pipeline.
+/// Errors from the profiling pipeline and the detailed projection
+/// built on it.
 #[derive(Debug)]
 pub enum PipelineError {
     /// A run failed.
     Run(RunError),
     /// Profile and timing data did not line up.
     Merge(MergeError),
+    /// The detailed simulator failed on a launch.
+    Exec(ExecError),
+    /// A replayed launch simulated a different instruction count than
+    /// the profile recorded at the same index (0 for a launch one side
+    /// lacks), so interval bounds would pick the wrong launches.
+    LaunchMismatch {
+        launch: usize,
+        simulated: u64,
+        profiled: u64,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -33,6 +44,16 @@ impl std::fmt::Display for PipelineError {
         match self {
             PipelineError::Run(e) => write!(f, "run failed: {e}"),
             PipelineError::Merge(e) => write!(f, "merge failed: {e}"),
+            PipelineError::Exec(e) => write!(f, "detailed simulation failed: {e}"),
+            PipelineError::LaunchMismatch {
+                launch,
+                simulated,
+                profiled,
+            } => write!(
+                f,
+                "launch {launch} simulated {simulated} instructions but the profile \
+                 recorded {profiled}"
+            ),
         }
     }
 }
@@ -42,6 +63,12 @@ impl std::error::Error for PipelineError {}
 impl From<RunError> for PipelineError {
     fn from(e: RunError) -> PipelineError {
         PipelineError::Run(e)
+    }
+}
+
+impl From<ExecError> for PipelineError {
+    fn from(e: ExecError) -> PipelineError {
+        PipelineError::Exec(e)
     }
 }
 

@@ -12,12 +12,13 @@ use std::ops::Range;
 
 use gpu_device::detailed::{DetailedConfig, DetailedSimulator};
 use gpu_device::{
-    Cache, CacheConfig, CheckpointLibrary, ExecError, Gpu, GpuTopology, LaunchDescriptor,
+    Cache, CacheConfig, CheckpointLibrary, Gpu, GpuConfig, GpuTopology, LaunchDescriptor,
 };
-use serde::{Deserialize, Serialize};
+use ocl_runtime::runtime::OclRuntime;
 
 use crate::data::AppData;
 use crate::evaluate::{error_pct, projected_spi, Evaluation};
+use crate::pipeline::{PipelineError, ProfiledApp};
 
 /// The error of applying an existing selection to a new trial's
 /// timing data.
@@ -29,32 +30,6 @@ pub fn cross_error_pct(selection: &Evaluation, new_data: &AppData) -> f64 {
     let measured = new_data.measured_spi();
     let projected = projected_spi(new_data, &selection.intervals, &selection.selection);
     error_pct(measured, projected)
-}
-
-/// One validation row of Figure 8.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ValidationPoint {
-    /// What varied ("trial 3", "700MHz", "Haswell HD4600").
-    pub label: String,
-    /// Error of the original selections on the new execution
-    /// (percent).
-    pub error_pct: f64,
-}
-
-/// Validate a selection against several replayed executions.
-///
-/// Replays are independent of one another, so they fan out across
-/// `threads` workers; points come back in replay order, bitwise
-/// identical at every count.
-pub fn validate_against_with_threads(
-    selection: &Evaluation,
-    replays: &[(String, AppData)],
-    threads: usize,
-) -> Vec<ValidationPoint> {
-    gtpin_par::parallel_map(replays, threads, |_, (label, data)| ValidationPoint {
-        label: label.clone(),
-        error_pct: cross_error_pct(selection, data),
-    })
 }
 
 /// A selection's Eq.-1 projection on one detailed-simulated design,
@@ -77,17 +52,27 @@ pub struct DetailedProjection {
 /// Section V-A, steps 6–7: detail-simulate `selection`'s picks on
 /// `topology` at `frequency_hz`, each from a warm-cache checkpoint,
 /// extrapolate by their ratios, and score that against every launch
-/// of `gpu` (a functional replay of the profiled program).
+/// of `profiled`'s recording, replayed functionally in capture order.
+///
+/// The selection's interval bounds index the profile's launches, so
+/// every replayed launch must simulate the instruction count the
+/// profile recorded at its index.
 ///
 /// # Errors
 ///
-/// Returns [`ExecError`] if a launch fails to execute or simulate.
+/// [`PipelineError::LaunchMismatch`] names the first launch whose
+/// simulated instruction count differs from the profile's;
+/// [`PipelineError::Run`] and [`PipelineError::Exec`] report a replay
+/// or simulation failure.
 pub fn detailed_projection(
     selection: &Evaluation,
-    gpu: &Gpu,
+    profiled: &ProfiledApp,
     topology: GpuTopology,
     frequency_hz: f64,
-) -> Result<DetailedProjection, ExecError> {
+) -> Result<DetailedProjection, PipelineError> {
+    let mut rt = OclRuntime::new(Gpu::new(GpuConfig::hd4000()));
+    profiled.recording.replay(&mut rt)?;
+    let gpu = rt.into_device();
     let kernels: Vec<_> = (0..gpu.driver().num_kernels())
         .filter_map(|i| gpu.driver().kernel(i).cloned())
         .collect();
@@ -100,19 +85,39 @@ pub fn detailed_projection(
             global_work_size: l.global_work_size,
         })
         .collect();
+    let invocations = &profiled.data.invocations;
     // (cycles, instructions) of `range`, from `cache` or a cold one.
+    // Each launch must simulate the instructions the profile recorded
+    // at its index.
     let simulate = |cache: Option<&Cache>, range: Range<usize>| {
         let mut sim = DetailedSimulator::new(topology, frequency_hz, DetailedConfig::default());
         if let Some(cache) = cache {
             sim.restore_cache(cache.clone());
         }
-        launches[range].iter().try_fold((0u64, 0u64), |(c, n), l| {
+        range.into_iter().try_fold((0u64, 0u64), |(c, n), launch| {
+            let l = &launches[launch];
             let r = sim.simulate_launch(&kernels[l.kernel_index], &l.args, l.global_work_size)?;
-            Ok::<_, ExecError>((c + r.cycles, n + r.stats.instructions))
+            let simulated = r.stats.instructions;
+            let profiled = invocations.get(launch).map_or(0, |inv| inv.instructions);
+            if simulated != profiled {
+                return Err(PipelineError::LaunchMismatch {
+                    launch,
+                    simulated,
+                    profiled,
+                });
+            }
+            Ok((c + r.cycles, n + simulated))
         })
     };
 
     let (full_cycles, full_instructions) = simulate(None, 0..launches.len())?;
+    if let Some(inv) = invocations.get(launches.len()) {
+        return Err(PipelineError::LaunchMismatch {
+            launch: launches.len(),
+            simulated: 0,
+            profiled: inv.instructions,
+        });
+    }
     let picks = &selection.selection.picks;
     let starts: Vec<usize> = picks
         .iter()
@@ -205,17 +210,5 @@ mod tests {
             "skewing only unselected intervals must hurt: {err} vs {}",
             e.error_pct
         );
-    }
-
-    #[test]
-    fn validate_against_labels_every_replay() {
-        let (e, d) = base_selection();
-        let replays = vec![
-            ("trial 2".to_string(), d.clone()),
-            ("trial 3".to_string(), d),
-        ];
-        let points = validate_against_with_threads(&e, &replays, 2);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].label, "trial 2");
     }
 }

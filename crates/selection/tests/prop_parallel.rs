@@ -5,10 +5,7 @@
 
 use proptest::prelude::*;
 use simpoint::SimpointConfig;
-use subset_select::{
-    all_configs, evaluate_config, validate_against_with_threads, AppData, Exploration, InvRecord,
-    KernelShape,
-};
+use subset_select::{all_configs, evaluate_config, AppData, Exploration, InvRecord, KernelShape};
 
 prop_compose! {
     fn arb_invocation(index: u32, epoch: u32)(
@@ -92,27 +89,6 @@ proptest! {
                 );
                 prop_assert!((p.selection.total_ratio() - 1.0).abs() < 1e-9);
             }
-        }
-    }
-
-    /// Cross-trial validation fans out per replay; points match the
-    /// serial order and values at every thread count.
-    #[test]
-    fn validation_is_thread_count_invariant(data in arb_app(), scale in 1u32..8) {
-        let sp = SimpointConfig::default();
-        let ex = Exploration::run_with_threads(&data, 10_000, &sp, 1);
-        let best = ex.min_error().expect("non-empty exploration");
-        let mut replay = data.clone();
-        for inv in &mut replay.invocations {
-            inv.seconds *= scale as f64;
-        }
-        let replays: Vec<(String, AppData)> = (0..5)
-            .map(|t| (format!("trial {t}"), replay.clone()))
-            .collect();
-        let serial = validate_against_with_threads(best, &replays, 1);
-        for threads in 2..=8usize {
-            let par = validate_against_with_threads(best, &replays, threads);
-            prop_assert_eq!(&par, &serial, "threads = {}", threads);
         }
     }
 }

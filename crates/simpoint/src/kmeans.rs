@@ -64,32 +64,23 @@ impl KmeansResult {
     }
 }
 
-/// Point count below which the Lloyd assignment step stays serial:
-/// under this, thread spawn cost exceeds the distance arithmetic.
-pub const PAR_MIN_POINTS: usize = 1024;
-
-/// Run weighted k-means with `threads` workers for the Lloyd
-/// assignment step (and the final assignment/SSE pass).
+/// Run weighted k-means: k-means++ seeding, then Lloyd iterations
+/// until nothing changes or `max_iters` runs out.
 ///
 /// `weights` give each point's importance (interval instruction
 /// counts, in SimPoint's use). Empty clusters are reseeded to the
 /// point farthest from its centroid. Requesting more clusters than
-/// points clamps `k`.
-///
-/// Only the per-point `nearest` searches are chunked across threads —
-/// each is pure in the previous iteration's centroids. The centroid
-/// update (the floating-point accumulation) and the k-means++ seeding
-/// (a sequential RNG dependency chain) stay serial in point order, so
-/// the result is bitwise identical at every thread count.
+/// points clamps `k`. Every floating-point sum runs in point order,
+/// so a seed fixes the result bit for bit.
 ///
 /// # Example
 ///
 /// ```
-/// use simpoint::kmeans_with_threads;
+/// use simpoint::kmeans;
 ///
 /// let points = vec![vec![0.0], vec![0.1], vec![9.0], vec![9.1]];
 /// let weights = vec![1.0; 4];
-/// let result = kmeans_with_threads(&points, &weights, 2, 42, 100, 1);
+/// let result = kmeans(&points, &weights, 2, 42, 100);
 /// assert_eq!(result.k(), 2);
 /// assert_eq!(result.assignments[0], result.assignments[1]);
 /// assert_ne!(result.assignments[0], result.assignments[2]);
@@ -99,13 +90,12 @@ pub const PAR_MIN_POINTS: usize = 1024;
 ///
 /// Panics if `points` is empty, `weights.len() != points.len()`, or
 /// the points differ in length.
-pub fn kmeans_with_threads(
+pub fn kmeans(
     points: &[Vec<f64>],
     weights: &[f64],
     k: usize,
     seed: u64,
     max_iters: usize,
-    threads: usize,
 ) -> KmeansResult {
     assert!(!points.is_empty(), "kmeans needs at least one point");
     assert_eq!(points.len(), weights.len(), "one weight per point");
@@ -115,7 +105,7 @@ pub fn kmeans_with_threads(
         "every point has the same dimensionality"
     );
     let flat: Vec<f64> = points.concat();
-    lloyd(&flat, dims, weights, k, seed, max_iters, threads).result
+    lloyd(&flat, dims, weights, k, seed, max_iters).result
 }
 
 /// One k-means run plus its Lloyd iteration accounting.
@@ -142,7 +132,6 @@ pub(crate) fn lloyd(
     k: usize,
     seed: u64,
     max_iters: usize,
-    threads: usize,
 ) -> Run {
     let n = weights.len();
     assert!(n > 0, "kmeans needs at least one point");
@@ -153,7 +142,6 @@ pub(crate) fn lloyd(
     let mut centroids = plus_plus_seed(points, dims, weights, k, &mut rng);
     let mut assignments = vec![0usize; n];
 
-    let mut scratch = vec![0usize; n];
     let mut sums = vec![0.0; k * dims];
     let mut masses = vec![0.0; k];
     // Brent's cycle detection over the state at the top of an
@@ -163,12 +151,13 @@ pub(crate) fn lloyd(
     let mut end = max_iters;
     let mut it = 0;
     while it < end {
-        // Assign: each point's nearest-centroid search is independent.
-        gtpin_par::parallel_fill(&mut scratch, threads, PAR_MIN_POINTS, |i| {
-            nearest(row(points, dims, i), &centroids, dims, k).0
-        });
-        let mut changed = assignments != scratch;
-        std::mem::swap(&mut assignments, &mut scratch);
+        // Assign.
+        let mut changed = false;
+        for (i, slot) in assignments.iter_mut().enumerate() {
+            let c = nearest(row(points, dims, i), &centroids, dims, k).0;
+            changed |= *slot != c;
+            *slot = c;
+        }
 
         // Update.
         sums.fill(0.0);
@@ -215,15 +204,11 @@ pub(crate) fn lloyd(
         }
     }
 
-    // Final assignment + SSE: nearest searches fan out, the SSE
-    // reduction stays serial in point order (fixed f64 fold order).
-    let mut finals = vec![(0usize, 0.0f64); n];
-    gtpin_par::parallel_fill(&mut finals, threads, PAR_MIN_POINTS, |i| {
-        nearest(row(points, dims, i), &centroids, dims, k)
-    });
+    // Final assignment + SSE, summed in point order.
     let mut sse = 0.0;
-    for (i, &(best, d2)) in finals.iter().enumerate() {
-        assignments[i] = best;
+    for (i, slot) in assignments.iter_mut().enumerate() {
+        let (best, d2) = nearest(row(points, dims, i), &centroids, dims, k);
+        *slot = best;
         sse += weights[i] * d2;
     }
 
@@ -346,7 +331,7 @@ mod tests {
     #[test]
     fn separates_two_blobs() {
         let (pts, w) = two_blobs();
-        let r = kmeans_with_threads(&pts, &w, 2, 7, 100, 1);
+        let r = kmeans(&pts, &w, 2, 7, 100);
         assert_eq!(r.k(), 2);
         // All even indices together, all odd together.
         let a = r.assignments[0];
@@ -361,15 +346,15 @@ mod tests {
     #[test]
     fn k_clamped_to_point_count() {
         let pts = vec![vec![1.0], vec![2.0]];
-        let r = kmeans_with_threads(&pts, &[1.0, 1.0], 10, 1, 50, 1);
+        let r = kmeans(&pts, &[1.0, 1.0], 10, 1, 50);
         assert!(r.k() <= 2);
     }
 
     #[test]
     fn deterministic_under_seed() {
         let (pts, w) = two_blobs();
-        let a = kmeans_with_threads(&pts, &w, 3, 42, 100, 1);
-        let b = kmeans_with_threads(&pts, &w, 3, 42, 100, 1);
+        let a = kmeans(&pts, &w, 3, 42, 100);
+        let b = kmeans(&pts, &w, 3, 42, 100);
         assert_eq!(a.assignments, b.assignments);
     }
 
@@ -378,7 +363,7 @@ mod tests {
         // One heavy point and one light point, k=1: centroid near
         // the heavy point.
         let pts = vec![vec![0.0], vec![10.0]];
-        let r = kmeans_with_threads(&pts, &[9.0, 1.0], 1, 3, 50, 1);
+        let r = kmeans(&pts, &[9.0, 1.0], 1, 3, 50);
         assert!(
             (r.centroids[0][0] - 1.0).abs() < 1e-9,
             "weighted mean is 1.0"
@@ -388,7 +373,7 @@ mod tests {
     #[test]
     fn identical_points_fold_into_one_effective_cluster() {
         let pts = vec![vec![5.0, 5.0]; 8];
-        let r = kmeans_with_threads(&pts, &[1.0; 8], 3, 11, 50, 1);
+        let r = kmeans(&pts, &[1.0; 8], 3, 11, 50);
         assert_eq!(r.sse, 0.0);
         for a in &r.assignments {
             assert!(*a < r.k());
@@ -398,7 +383,7 @@ mod tests {
     #[test]
     fn members_partitions_all_points() {
         let (pts, w) = two_blobs();
-        let r = kmeans_with_threads(&pts, &w, 2, 5, 100, 1);
+        let r = kmeans(&pts, &w, 2, 5, 100);
         let total: usize = (0..r.k()).map(|c| r.members(c).len()).sum();
         assert_eq!(total, pts.len());
     }
@@ -415,7 +400,7 @@ mod tests {
         ];
         for k in 1..=4 {
             for seed in 0..16 {
-                let r = kmeans_with_threads(&pts, &[1.0; 4], k, seed, 20, 1);
+                let r = kmeans(&pts, &[1.0; 4], k, seed, 20);
                 assert_eq!(r.assignments.len(), pts.len());
                 assert!(r.assignments.iter().all(|&a| a < r.k()));
             }
@@ -429,7 +414,7 @@ mod tests {
         // never settles and the cycle skip ends it.
         let pts = [0.25, -0.5, 0.125].repeat(25);
         let w: Vec<f64> = (0..25).map(|i| 1_000.0 + 37.0 * i as f64).collect();
-        let run = lloyd(&pts, 3, &w, 4, 9, 100, 1);
+        let run = lloyd(&pts, 3, &w, 4, 9, 100);
         assert!(run.iters < 10, "ran {} iterations", run.iters);
         assert_eq!(run.iters + run.skipped, 100);
     }
@@ -437,6 +422,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one point")]
     fn empty_input_panics() {
-        kmeans_with_threads(&[], &[], 2, 0, 10, 1);
+        kmeans(&[], &[], 2, 0, 10);
     }
 }

@@ -10,13 +10,16 @@
 //! 1. build one sparse [`FeatureVector`] per execution interval,
 //! 2. L1-normalize and randomly [`project`](project::project) to a
 //!    small dense space (15 dims),
-//! 3. run weighted [`kmeans`](kmeans::kmeans_with_threads) for k = 1..=max_k
-//!    (max 10 in all the paper's experiments),
+//! 3. run weighted [`kmeans`](kmeans::kmeans) for k = 1..=max_k (max
+//!    10 in all the paper's experiments),
 //! 4. pick k by [`bic_score`](bic::bic_score) (smallest k within a
 //!    fraction of the best), and
 //! 5. return one representative interval per cluster plus its
 //!    *representation ratio* — the cluster's share of all dynamic
 //!    instructions ([`Selection`]).
+//!
+//! One selection runs serially. Callers that make many (an
+//! exploration's 30 configurations) fan out over selections instead.
 //!
 //! # Example
 //!
@@ -41,10 +44,9 @@ pub mod project;
 pub mod simpoint;
 pub mod vector;
 
-pub use kmeans::{kmeans_with_threads, KmeansResult, PAR_MIN_POINTS};
+pub use kmeans::{kmeans, KmeansResult};
 pub use project::{project, DEFAULT_DIMS};
 pub use simpoint::{
-    select, select_filtered, select_filtered_with_threads, select_with_threads, SelectError,
-    Selection, SimpointConfig, SimpointPick, QUARANTINED,
+    select, select_filtered, SelectError, Selection, SimpointConfig, SimpointPick, QUARANTINED,
 };
 pub use vector::FeatureVector;

@@ -116,41 +116,19 @@ impl std::error::Error for SelectError {}
 /// weights (dynamic instruction counts — SimPoint 3.0's
 /// variable-size interval support).
 ///
+/// Serial: each k = 1..=`max_k` run owns its RNG (seeded from
+/// `config.seed` and `k` alone) and its BIC score, and the BIC
+/// threshold rule reads the runs in k order. Callers fan out over
+/// selections, not inside one.
+///
 /// # Errors
 ///
 /// Returns [`SelectError`] on empty input, length mismatch, or
 /// all-zero weights.
-///
-/// This is the serial entry point; [`select_with_threads`] fans the
-/// same computation out, bit for bit.
 pub fn select(
     vectors: &[FeatureVector],
     weights: &[u64],
     config: &SimpointConfig,
-) -> Result<Selection, SelectError> {
-    select_with_threads(vectors, weights, config, 1)
-}
-
-/// [`select`] with an explicit worker count.
-///
-/// The k = 1..=`max_k` sweep fans out across threads — each run owns
-/// its RNG (seeded from `config.seed` and `k` alone) and its BIC
-/// score, and runs are collected back in k order, so the BIC
-/// threshold rule sees exactly the serial sequence. For large
-/// interval populations the sweep instead stays serial and the
-/// thread budget goes to chunking each run's Lloyd assignment step
-/// (see [`crate::kmeans::kmeans_with_threads`]). Either way the
-/// selection is bitwise identical at every thread count.
-///
-/// # Errors
-///
-/// Returns [`SelectError`] on empty input, length mismatch, or
-/// all-zero weights.
-pub fn select_with_threads(
-    vectors: &[FeatureVector],
-    weights: &[u64],
-    config: &SimpointConfig,
-    threads: usize,
 ) -> Result<Selection, SelectError> {
     if vectors.is_empty() {
         return Err(SelectError::NoIntervals);
@@ -168,7 +146,6 @@ pub fn select_with_threads(
     let mut obs_span = gtpin_obs::span("simpoint.select");
     if obs_span.active() {
         obs_span.arg_u64("intervals", vectors.len() as u64);
-        obs_span.arg_u64("threads", threads as u64);
     }
 
     // Normalize per-vector so interval length does not dominate the
@@ -179,32 +156,24 @@ pub fn select_with_threads(
     let w: Vec<f64> = weights.iter().map(|&x| x as f64).collect();
 
     // Sweep k, score with BIC, keep the smallest k clearing the
-    // fraction-of-best threshold. Small populations spend the thread
-    // budget on concurrent k runs; large ones keep the sweep serial
-    // and chunk each run's assignment step instead (nesting both
-    // would oversubscribe).
+    // fraction-of-best threshold. The sweep runs serially through
+    // `parallel_indexed`, whose serial path still offers the
+    // `par.worker_panic` fault seam per k.
     let max_k = config.max_k.min(vectors.len()).max(1);
-    let (sweep_threads, lloyd_threads) = if vectors.len() >= crate::kmeans::PAR_MIN_POINTS {
-        (1, threads)
-    } else {
-        (threads, 1)
-    };
     let sweep_ns = gtpin_obs::now_ns();
-    let runs: Vec<(crate::kmeans::Run, f64)> =
-        gtpin_par::parallel_indexed(max_k, sweep_threads, |i| {
-            let k = i + 1;
-            let run = crate::kmeans::lloyd(
-                &points,
-                dims,
-                &w,
-                k,
-                config.seed ^ (k as u64) << 32,
-                config.max_iters,
-                lloyd_threads,
-            );
-            let bic = bic_score_dims(dims, &w, &run.result);
-            (run, bic)
-        });
+    let runs: Vec<(crate::kmeans::Run, f64)> = gtpin_par::parallel_indexed(max_k, 1, |i| {
+        let k = i + 1;
+        let run = crate::kmeans::lloyd(
+            &points,
+            dims,
+            &w,
+            k,
+            config.seed ^ (k as u64) << 32,
+            config.max_iters,
+        );
+        let bic = bic_score_dims(dims, &w, &run.result);
+        (run, bic)
+    });
     if obs_span.active() {
         obs_span.arg_u64("max_k", max_k as u64);
         gtpin_obs::hist_ns(
@@ -288,8 +257,7 @@ pub const QUARANTINED: usize = usize::MAX;
 /// Pick indices and assignments are reported in the *original*
 /// interval numbering; quarantined intervals get the [`QUARANTINED`]
 /// sentinel assignment. With an all-false mask this is exactly
-/// [`select`] — same decisions, bit for bit. Serial, like [`select`];
-/// [`select_filtered_with_threads`] takes a worker count.
+/// [`select`] — same decisions, bit for bit.
 ///
 /// # Errors
 ///
@@ -302,21 +270,6 @@ pub fn select_filtered(
     quarantined: &[bool],
     config: &SimpointConfig,
 ) -> Result<Selection, SelectError> {
-    select_filtered_with_threads(vectors, weights, quarantined, config, 1)
-}
-
-/// [`select_filtered`] with an explicit worker count.
-///
-/// # Errors
-///
-/// See [`select_filtered`].
-pub fn select_filtered_with_threads(
-    vectors: &[FeatureVector],
-    weights: &[u64],
-    quarantined: &[bool],
-    config: &SimpointConfig,
-    threads: usize,
-) -> Result<Selection, SelectError> {
     if vectors.len() != quarantined.len() {
         return Err(SelectError::MaskMismatch {
             vectors: vectors.len(),
@@ -326,7 +279,7 @@ pub fn select_filtered_with_threads(
     let skipped = quarantined.iter().filter(|&&q| q).count();
     if skipped == 0 {
         // Fast path: bitwise identical to the unfiltered pipeline.
-        return select_with_threads(vectors, weights, config, threads);
+        return select(vectors, weights, config);
     }
     if skipped == vectors.len() {
         return Err(SelectError::AllQuarantined);
@@ -343,7 +296,7 @@ pub fn select_filtered_with_threads(
     let keep: Vec<usize> = (0..vectors.len()).filter(|&i| !quarantined[i]).collect();
     let kept_vectors: Vec<FeatureVector> = keep.iter().map(|&i| vectors[i].clone()).collect();
     let kept_weights: Vec<u64> = keep.iter().map(|&i| weights[i]).collect();
-    let inner = select_with_threads(&kept_vectors, &kept_weights, config, threads)?;
+    let inner = select(&kept_vectors, &kept_weights, config)?;
 
     let picks = inner
         .picks

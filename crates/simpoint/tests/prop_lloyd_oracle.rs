@@ -1,6 +1,6 @@
 //! Oracle test for the cycle-skipping Lloyd loop: on populations with
 //! few distinct points (where empty-cluster reseeds keep the loop
-//! cycling) `kmeans_with_threads` must return exactly what the
+//! cycling) `kmeans` must return exactly what the
 //! original run-to-the-cap loop returns — same assignments, same
 //! centroid bits, same SSE bits.
 
@@ -8,10 +8,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simpoint::project::distance2;
-use simpoint::{kmeans_with_threads, KmeansResult, PAR_MIN_POINTS};
+use simpoint::{kmeans, KmeansResult};
 
 // ---------------------------------------------------------------
-// Reference: the Lloyd loop before the cycle skip, kept verbatim.
+// Reference: the Lloyd loop before the cycle skip, run serially.
 // ---------------------------------------------------------------
 
 fn reference_kmeans(
@@ -20,7 +20,6 @@ fn reference_kmeans(
     k: usize,
     seed: u64,
     max_iters: usize,
-    threads: usize,
 ) -> KmeansResult {
     assert!(!points.is_empty(), "kmeans needs at least one point");
     assert_eq!(points.len(), weights.len(), "one weight per point");
@@ -32,10 +31,10 @@ fn reference_kmeans(
 
     let mut scratch = vec![0usize; points.len()];
     for _ in 0..max_iters {
-        // Assign: each point's nearest-centroid search is independent.
-        gtpin_par::parallel_fill(&mut scratch, threads, PAR_MIN_POINTS, |i| {
-            nearest(&points[i], &centroids).0
-        });
+        // Assign.
+        for (i, slot) in scratch.iter_mut().enumerate() {
+            *slot = nearest(&points[i], &centroids).0;
+        }
         let mut changed = assignments != scratch;
         std::mem::swap(&mut assignments, &mut scratch);
 
@@ -75,15 +74,11 @@ fn reference_kmeans(
         }
     }
 
-    // Final assignment + SSE: nearest searches fan out, the SSE
-    // reduction stays serial in point order (fixed f64 fold order).
-    let mut finals = vec![(0usize, 0.0f64); points.len()];
-    gtpin_par::parallel_fill(&mut finals, threads, PAR_MIN_POINTS, |i| {
-        nearest(&points[i], &centroids)
-    });
+    // Final assignment + SSE, summed in point order.
     let mut sse = 0.0;
-    for (i, &(best, d2)) in finals.iter().enumerate() {
-        assignments[i] = best;
+    for (i, slot) in assignments.iter_mut().enumerate() {
+        let (best, d2) = nearest(&points[i], &centroids);
+        *slot = best;
         sse += weights[i] * d2;
     }
 
@@ -214,18 +209,17 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (points, weights) = pop;
-        let want = reference_kmeans(&points, &weights, k, seed, max_iters, 1);
-        let got = kmeans_with_threads(&points, &weights, k, seed, max_iters, 1);
+        let want = reference_kmeans(&points, &weights, k, seed, max_iters);
+        let got = kmeans(&points, &weights, k, seed, max_iters);
         assert_bit_identical(&got, &want, &format!("k={k} max_iters={max_iters} seed={seed}"));
     }
 }
 
-/// The chunked assignment step on a large duplicated population (the
-/// aes128 single-kernel shape: three phases) matches the reference at
-/// one and four threads.
+/// A large duplicated population (the aes128 single-kernel shape:
+/// three phases, 1,524 intervals) matches the reference.
 #[test]
 fn cycle_skip_matches_the_reference_loop_on_large_populations() {
-    let n = PAR_MIN_POINTS + 500;
+    let n = 1_524;
     let phases = [
         vec![0.5, -0.25, 0.125, 0.0, 1.0],
         vec![0.1, 0.2, 0.3, 0.4, 0.5],
@@ -234,10 +228,8 @@ fn cycle_skip_matches_the_reference_loop_on_large_populations() {
     let points: Vec<Vec<f64>> = (0..n).map(|i| phases[i % 7 % 3].clone()).collect();
     let weights: Vec<f64> = (0..n).map(|i| 1_000.0 + (i % 13) as f64 * 37.0).collect();
     for k in [1usize, 3, 6, 10] {
-        let want = reference_kmeans(&points, &weights, k, 0xD1CE ^ k as u64, 100, 1);
-        for threads in [1usize, 4] {
-            let got = kmeans_with_threads(&points, &weights, k, 0xD1CE ^ k as u64, 100, threads);
-            assert_bit_identical(&got, &want, &format!("k={k} threads={threads}"));
-        }
+        let want = reference_kmeans(&points, &weights, k, 0xD1CE ^ k as u64, 100);
+        let got = kmeans(&points, &weights, k, 0xD1CE ^ k as u64, 100);
+        assert_bit_identical(&got, &want, &format!("k={k}"));
     }
 }

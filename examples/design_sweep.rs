@@ -17,9 +17,8 @@
 //! cargo run --release --example design_sweep
 //! ```
 
-use gtpin_suite::device::{Gpu, GpuConfig, GpuGeneration, GpuTopology};
+use gtpin_suite::device::{GpuConfig, GpuGeneration, GpuTopology};
 use gtpin_suite::par::available_threads;
-use gtpin_suite::runtime::runtime::{OclRuntime, Schedule};
 use gtpin_suite::selection::{detailed_projection, profile_app, Exploration};
 use gtpin_suite::simpoint::SimpointConfig;
 use gtpin_suite::workloads::{build_program, spec_by_name, Scale};
@@ -47,12 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         selection.selection_fraction() * 100.0,
         selection.error_pct
     );
-
-    // Replay once per design to collect launch descriptors and
-    // compiled binaries for the detailed simulator.
-    let mut rt = OclRuntime::new(Gpu::new(GpuConfig::hd4000()));
-    rt.run(&program, Schedule::Replay)?;
-    let gpu = rt.into_device();
 
     println!();
     println!(
@@ -92,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Full-program detailed simulation (what the paper wants to
         // avoid) against subset-only simulation extrapolated by ratios,
         // each sample starting from a warm-cache checkpoint.
-        let p = detailed_projection(selection, &gpu, topology, freq)?;
+        let p = detailed_projection(selection, &profiled, topology, freq)?;
         println!(
             "{:34} {:>16} {:>16.0} {:>7.2}% {:>8.1}x",
             name,

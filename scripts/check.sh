@@ -51,7 +51,8 @@ echo "only gtpin_faults::Memo seals cache entries"
 echo "== determinism properties: parallel vs serial at 1..=8 threads"
 # The thread counts are swept inside each property; the gate above
 # proves nothing they reach reads GTPIN_THREADS, so one run suffices.
-cargo test -q -p simpoint --test prop_parallel
+# The Lloyd oracle checks the serial cycle-skipping loop against the
+# run-to-the-cap reference.
 cargo test -q -p simpoint --test prop_lloyd_oracle
 cargo test -q -p subset-select --test prop_parallel
 

@@ -8,6 +8,7 @@
 //!     --trace-memory                  enable memory tracing
 //!     --json <path>                   dump the profile as JSON
 //! gtpin select <app> [threshold%]     explore configs and print selections
+//!     --scale test|default            workload scale (default: default)
 //! gtpin explore <app>...|--all [opts] supervised exploration sweep over
 //!                                     many apps (crash-consistent)
 //!     --threshold <pct>               co-opt error threshold (default 3)
@@ -228,9 +229,10 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, GtP
     }
 }
 
-fn parse_scale(args: &[String]) -> Result<Scale, GtPinError> {
+fn parse_scale(args: &[String], default: Scale) -> Result<Scale, GtPinError> {
     match flag_value(args, "--scale")? {
-        None | Some("default") => Ok(Scale::Default),
+        None => Ok(default),
+        Some("default") => Ok(Scale::Default),
         Some("test") => Ok(Scale::Test),
         Some(other) => Err(format!("unknown scale {other} (known: test, default)").into()),
     }
@@ -253,7 +255,7 @@ fn parse_journal_flags(args: &[String]) -> Result<(Option<PathBuf>, bool), GtPin
 
 fn cmd_run(args: &[String], run_config: &RunConfig) -> CliResult {
     let spec = parse_app(args)?;
-    let scale = parse_scale(args)?;
+    let scale = parse_scale(args, Scale::Default)?;
     let config = RewriteConfig {
         count_basic_blocks: true,
         time_kernels: args.iter().any(|a| a == "--time-kernels"),
@@ -288,8 +290,12 @@ fn cmd_run(args: &[String], run_config: &RunConfig) -> CliResult {
 
 fn cmd_select(args: &[String], config: &RunConfig) -> CliResult {
     let spec = parse_app(args)?;
-    let threshold: f64 = args.get(1).map(|s| s.parse()).transpose()?.unwrap_or(3.0);
-    let program = build_program(&spec, Scale::Default);
+    let threshold: f64 = positional_args(args, &["--scale"])
+        .get(1)
+        .map(|s| s.parse())
+        .transpose()?
+        .unwrap_or(3.0);
+    let program = build_program(&spec, parse_scale(args, Scale::Default)?);
     let profiled = profile_app(&program, hd4000(config), 1)?;
     let data = &profiled.data;
     let approx = gtpin_suite::selection::default_approx_target(data);
@@ -311,11 +317,7 @@ fn cmd_sim(args: &[String], config: &RunConfig) -> CliResult {
     let spec = parse_app(args)?;
     // Detailed simulation is the slow path by design; default to the
     // test scale so the gate stays cheap.
-    let scale = match flag_value(args, "--scale")? {
-        None | Some("test") => Scale::Test,
-        Some("default") => Scale::Default,
-        Some(other) => return Err(format!("unknown scale {other} (known: test, default)").into()),
-    };
+    let scale = parse_scale(args, Scale::Test)?;
     let limit: usize = flag_value(args, "--launches")?
         .map(str::parse)
         .transpose()?
@@ -367,7 +369,7 @@ fn cmd_explore(args: &[String], config: &RunConfig) -> CliResult {
         .map(str::parse)
         .transpose()?
         .unwrap_or(3.0);
-    let scale = parse_scale(args)?;
+    let scale = parse_scale(args, Scale::Default)?;
     let (journal_dir, resume) = parse_journal_flags(args)?;
 
     let specs: Vec<gtpin_suite::workloads::WorkloadSpec> = if args.iter().any(|a| a == "--all") {

@@ -1,6 +1,7 @@
 //! The `gtpin` command line, run as a process: a run budget set by
-//! knob ends in a partial report and `error[budget]`, and a malformed
-//! or unknown `GTPIN_*` variable is a usage error before any work.
+//! knob ends in a partial report and `error[budget]`, a malformed or
+//! unknown `GTPIN_*` variable is a usage error before any work, and
+//! `select` takes its scale by name.
 
 use std::ffi::OsStr;
 use std::os::unix::ffi::OsStrExt;
@@ -64,4 +65,21 @@ fn a_malformed_knob_is_refused() {
     refused("GTPIN_THREADS", OsStr::new("four"));
     // Not Unicode: refused as malformed, not taken as unset.
     refused("GTPIN_THREADS", OsStr::from_bytes(b"4\xff"));
+}
+
+#[test]
+fn select_honours_a_named_scale() {
+    let out = gtpin(&["select", "sandra-crypt-aes128", "--scale", "test"], &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("co-opt @"), "{stdout}");
+}
+
+#[test]
+fn select_refuses_an_unknown_scale_by_name() {
+    let out = gtpin(&["select", "sandra-crypt-aes128", "--scale", "huge"], &[]);
+    assert_ne!(out.status.code(), Some(0));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown scale huge"), "{stderr}");
 }

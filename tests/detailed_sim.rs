@@ -3,35 +3,45 @@
 //! simulation at a fraction of the simulated instructions.
 
 use gtpin_suite::device::detailed::{DetailedConfig, DetailedSimulator};
-use gtpin_suite::device::{Gpu, GpuConfig, GpuGeneration};
+use gtpin_suite::device::{GpuConfig, GpuGeneration};
 use gtpin_suite::par::available_threads;
-use gtpin_suite::runtime::runtime::{OclRuntime, Schedule};
-use gtpin_suite::selection::{detailed_projection, profile_app, Exploration};
+use gtpin_suite::selection::{
+    detailed_projection, profile_app, DetailedProjection, Evaluation, Exploration, PipelineError,
+    ProfiledApp,
+};
 use gtpin_suite::simpoint::SimpointConfig;
 use gtpin_suite::workloads::{build_program, spec_by_name, Scale};
 
-#[test]
-fn subset_predicts_full_detailed_simulation() {
-    let spec = spec_by_name("cb-gaussian-buffer").expect("known app");
+/// Profile `app` at test scale and take Figure 6's min-error
+/// selection.
+fn min_error_selection(app: &str) -> (ProfiledApp, Evaluation) {
+    let spec = spec_by_name(app).expect("known app");
     let program = build_program(&spec, Scale::Test);
     let profiled = profile_app(&program, GpuConfig::hd4000(), 1).expect("profiles");
-    let data = &profiled.data;
-    let approx = gtpin_suite::selection::default_approx_target(data);
+    let approx = gtpin_suite::selection::default_approx_target(&profiled.data);
     let ex = Exploration::run_with_threads(
-        data,
+        &profiled.data,
         approx,
         &SimpointConfig::default(),
         available_threads(),
     );
-    let best = ex.min_error().expect("evaluations exist");
+    let best = ex.min_error().expect("evaluations exist").clone();
+    (profiled, best)
+}
 
-    // Launch descriptors + binaries for the simulator.
-    let mut rt = OclRuntime::new(Gpu::new(GpuConfig::hd4000()));
-    rt.run(&program, Schedule::Replay).expect("runs");
-    let gpu = rt.into_device();
-
+/// Project `selection` on the HD 4000 at 1150 MHz.
+fn project_on_hd4000(
+    selection: &Evaluation,
+    profiled: &ProfiledApp,
+) -> Result<DetailedProjection, PipelineError> {
     let topo = GpuGeneration::IvyBridgeHd4000.topology();
-    let projection = detailed_projection(best, &gpu, topo, 1.15e9).expect("simulates");
+    detailed_projection(selection, profiled, topo, 1.15e9)
+}
+
+#[test]
+fn subset_predicts_full_detailed_simulation() {
+    let (profiled, best) = min_error_selection("cb-gaussian-buffer");
+    let projection = project_on_hd4000(&best, &profiled).expect("simulates");
     let error = projection.error_pct;
     assert!(
         error < 25.0,
@@ -41,6 +51,54 @@ fn subset_predicts_full_detailed_simulation() {
         projection.subset_instructions <= projection.full_instructions,
         "the subset is never larger than the program"
     );
+}
+
+/// An app whose selection covers a small share of its instructions:
+/// the picks simulate exactly the launches their intervals name in
+/// the profile, so their instructions add up to the profile's.
+#[test]
+fn picks_simulate_the_launches_their_intervals_name() {
+    let (profiled, best) = min_error_selection("cb-vision-facedetect");
+    assert!(
+        best.selection_fraction() < 0.5,
+        "the selection covers {:.1}% of instructions",
+        best.selection_fraction() * 100.0
+    );
+    let picked: u64 = best
+        .selection
+        .picks
+        .iter()
+        .map(|p| best.intervals[p.interval].instructions(&profiled.data))
+        .sum();
+    let projection = project_on_hd4000(&best, &profiled).expect("simulates");
+    assert_eq!(projection.subset_instructions, picked);
+    assert_eq!(
+        projection.full_instructions,
+        profiled.data.total_instructions()
+    );
+    let error = projection.error_pct;
+    assert!(error < 25.0, "projection error {error:.2}%");
+}
+
+/// A profile that disagrees with the replay is refused at the first
+/// launch that differs.
+#[test]
+fn a_misaligned_profile_is_refused_at_its_first_differing_launch() {
+    let (mut profiled, best) = min_error_selection("cb-gaussian-buffer");
+    let recorded = profiled.data.invocations[2].instructions;
+    profiled.data.invocations[2].instructions += 1;
+    match project_on_hd4000(&best, &profiled) {
+        Err(PipelineError::LaunchMismatch {
+            launch,
+            simulated,
+            profiled,
+        }) => {
+            assert_eq!(launch, 2);
+            assert_eq!(simulated, recorded);
+            assert_eq!(profiled, recorded + 1);
+        }
+        other => panic!("expected a launch mismatch, got {other:?}"),
+    }
 }
 
 #[test]
