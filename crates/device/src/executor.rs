@@ -9,6 +9,8 @@
 //! ([`ExecutionStats`]) used by the timing model and as ground truth
 //! in tests.
 
+use std::cell::RefCell;
+
 use gen_isa::{DecodedKernel, Opcode, NUM_LANES};
 use ocl_runtime::api::ArgValue;
 
@@ -360,6 +362,13 @@ impl<'d> Executor<'d> {
     }
 }
 
+thread_local! {
+    /// The register file of whichever hardware thread this host thread
+    /// runs next: the serial loop and every parallel worker reset one
+    /// per hardware thread instead of allocating a fresh one.
+    static THREAD_STATE: RefCell<ThreadState> = RefCell::new(ThreadState::new(0, &[]));
+}
+
 /// Run one hardware thread to completion against the given cache and
 /// trace buffer (shared in serial execution, private in parallel).
 #[allow(clippy::too_many_arguments)]
@@ -373,44 +382,39 @@ fn run_thread(
     stats: &mut ExecutionStats,
     mut access_log: Option<&mut Vec<(u64, u32)>>,
 ) -> Result<(), ExecError> {
-    let mut st = ThreadState::new(thread_id, args);
-    let mut ip: i64 = 0;
-    let mut executed: u64 = 0;
-    let instrs = &kernel.instrs;
+    THREAD_STATE.with_borrow_mut(|st| {
+        st.reset(thread_id, args);
+        let mut ip: i64 = 0;
+        let mut executed: u64 = 0;
+        let instrs = &kernel.instrs;
 
-    loop {
-        if executed >= thread_budget {
-            return Err(ExecError::BudgetExceeded {
-                budget: thread_budget,
-            });
-        }
-        if ip < 0 || ip as usize >= instrs.len() {
-            return Err(ExecError::RanOffEnd { ip });
-        }
-        let instr = &instrs[ip as usize];
-        executed += 1;
-        let cost = instruction_cost(instr);
-        st.issue_cycles += cost;
-        stats.count_instruction(instr.opcode.category(), instr.exec_size, cost);
-        if matches!(instr.send, Some(d) if d.surface == gen_isa::Surface::TraceBuffer) {
-            stats.trace_cycles += cost;
-        }
+        loop {
+            if executed >= thread_budget {
+                return Err(ExecError::BudgetExceeded {
+                    budget: thread_budget,
+                });
+            }
+            if ip < 0 || ip as usize >= instrs.len() {
+                return Err(ExecError::RanOffEnd { ip });
+            }
+            let instr = &instrs[ip as usize];
+            executed += 1;
+            let cost = instruction_cost(instr);
+            st.issue_cycles += cost;
+            stats.count_instruction(instr.opcode.category(), instr.exec_size, cost);
+            if matches!(instr.send, Some(d) if d.surface == gen_isa::Surface::TraceBuffer) {
+                stats.trace_cycles += cost;
+            }
 
-        match step(
-            &mut st,
-            instr,
-            cache,
-            trace,
-            stats,
-            access_log.as_deref_mut(),
-        ) {
-            StepOutcome::Done => break,
-            StepOutcome::Fault => return Err(ExecError::StrayReturn { ip: ip as usize }),
-            StepOutcome::Branch(off) => ip += 1 + off as i64,
-            StepOutcome::Next => ip += 1,
+            match step(st, instr, cache, trace, stats, access_log.as_deref_mut()) {
+                StepOutcome::Done => break,
+                StepOutcome::Fault => return Err(ExecError::StrayReturn { ip: ip as usize }),
+                StepOutcome::Branch(off) => ip += 1 + off as i64,
+                StepOutcome::Next => ip += 1,
+            }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -64,8 +64,8 @@ impl ExecutionStats {
         issue_cost: u64,
     ) {
         self.instructions += 1;
-        self.per_category[category_index(category)] += 1;
-        self.per_width[width_index(width)] += 1;
+        self.per_category[category.index()] += 1;
+        self.per_width[width.index()] += 1;
         self.issue_cycles += issue_cost;
     }
 
@@ -107,7 +107,7 @@ impl ExecutionStats {
         if self.instructions == 0 {
             return 0.0;
         }
-        self.per_category[category_index(category)] as f64 / self.instructions as f64
+        self.per_category[category.index()] as f64 / self.instructions as f64
     }
 
     /// Fraction of instructions at the given SIMD width.
@@ -115,24 +115,8 @@ impl ExecutionStats {
         if self.instructions == 0 {
             return 0.0;
         }
-        self.per_width[width_index(width)] as f64 / self.instructions as f64
+        self.per_width[width.index()] as f64 / self.instructions as f64
     }
-}
-
-/// Index of a category in [`OpcodeCategory::ALL`].
-pub fn category_index(category: OpcodeCategory) -> usize {
-    OpcodeCategory::ALL
-        .iter()
-        .position(|&c| c == category)
-        .expect("category is in ALL")
-}
-
-/// Index of a width in [`ExecSize::ALL`].
-pub fn width_index(width: ExecSize) -> usize {
-    ExecSize::ALL
-        .iter()
-        .position(|&w| w == width)
-        .expect("width is in ALL")
 }
 
 #[cfg(test)]
@@ -145,11 +129,8 @@ mod tests {
         s.count_instruction(OpcodeCategory::Computation, ExecSize::S16, 1);
         s.count_instruction(OpcodeCategory::Send, ExecSize::S8, 2);
         assert_eq!(s.instructions, 2);
-        assert_eq!(
-            s.per_category[category_index(OpcodeCategory::Computation)],
-            1
-        );
-        assert_eq!(s.per_width[width_index(ExecSize::S8)], 1);
+        assert_eq!(s.per_category[OpcodeCategory::Computation.index()], 1);
+        assert_eq!(s.per_width[ExecSize::S8.index()], 1);
         assert_eq!(s.issue_cycles, 3);
         assert!((s.category_fraction(OpcodeCategory::Send) - 0.5).abs() < 1e-12);
         assert!((s.width_fraction(ExecSize::S16) - 0.5).abs() < 1e-12);

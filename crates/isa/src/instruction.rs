@@ -17,6 +17,7 @@ pub enum FlagReg {
 
 impl FlagReg {
     /// Encoding index (0 or 1).
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             FlagReg::F0 => 0,
@@ -70,6 +71,7 @@ pub enum CondMod {
 
 impl CondMod {
     /// Evaluate the relation on one lane.
+    #[inline]
     pub fn eval(self, a: u32, b: u32) -> bool {
         match self {
             CondMod::Eq => a == b,

@@ -30,6 +30,7 @@ impl OpcodeCategory {
 
     /// Position of this category in [`OpcodeCategory::ALL`] — the
     /// index used by per-category count arrays.
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             OpcodeCategory::Move => 0,
@@ -97,6 +98,7 @@ macro_rules! opcodes {
 
             /// The category this opcode is reported under in
             /// instruction-mix profiles (Figure 4a).
+            #[inline]
             pub fn category(self) -> OpcodeCategory {
                 match self {
                     $( Opcode::$variant => OpcodeCategory::$category, )+
@@ -104,6 +106,7 @@ macro_rules! opcodes {
             }
 
             /// Number of source operands this opcode consumes (0–3).
+            #[inline]
             pub fn num_sources(self) -> usize {
                 match self {
                     $( Opcode::$variant => $srcs, )+
@@ -183,6 +186,7 @@ impl Opcode {
     /// unchanged; callers route them through the execution engine
     /// instead. Transcendental opcodes operate on the value as a fixed
     /// point fraction so that execution stays in `u32` lanes.
+    #[inline]
     pub fn eval_unary(self, a: u32) -> u32 {
         match self {
             Opcode::Mov => a,
@@ -200,6 +204,7 @@ impl Opcode {
     }
 
     /// Evaluate a binary ALU operation on one 32-bit lane.
+    #[inline]
     pub fn eval_binary(self, a: u32, b: u32) -> u32 {
         match self {
             Opcode::And => a & b,
@@ -221,6 +226,7 @@ impl Opcode {
     }
 
     /// Evaluate a ternary ALU operation on one 32-bit lane.
+    #[inline]
     pub fn eval_ternary(self, a: u32, b: u32, c: u32) -> u32 {
         match self {
             Opcode::Mad => a.wrapping_mul(b).wrapping_add(c),
@@ -268,11 +274,13 @@ impl ExecSize {
 
     /// Position of this width in [`ExecSize::ALL`] — the index used
     /// by per-width count arrays (the discriminant doubles as it).
+    #[inline]
     pub fn index(self) -> usize {
         self as usize
     }
 
     /// Number of SIMD lanes this width covers.
+    #[inline]
     pub fn lanes(self) -> usize {
         match self {
             ExecSize::S1 => 1,

@@ -52,8 +52,10 @@ echo "== determinism properties: parallel vs serial at 1..=8 threads"
 # The thread counts are swept inside each property; the gate above
 # proves nothing they reach reads GTPIN_THREADS, so one run suffices.
 # The Lloyd oracle checks the serial cycle-skipping loop against the
-# run-to-the-cap reference.
+# run-to-the-cap reference; the lane oracle checks the executor's
+# whole-register instruction loop against the per-lane reference.
 cargo test -q -p simpoint --test prop_lloyd_oracle
+cargo test -q -p gpu-device --lib machine::tests::prop_lane_oracle
 cargo test -q -p subset-select --test prop_parallel
 
 echo "== sharded-simulator gate: detailed sim serial vs 4 threads, digests diffed"

@@ -209,8 +209,14 @@ fn cmd_list() -> CliResult {
     Ok(())
 }
 
-fn parse_app(args: &[String]) -> Result<gtpin_suite::workloads::WorkloadSpec, String> {
-    let name = args
+/// The application a command names: its first positional argument,
+/// skipping the value slot of every flag in `value_flags`, so flags
+/// may come before or after it.
+fn parse_app(
+    args: &[String],
+    value_flags: &[&str],
+) -> Result<gtpin_suite::workloads::WorkloadSpec, String> {
+    let name = *positional_args(args, value_flags)
         .first()
         .ok_or("missing application name; try `gtpin list`")?;
     spec_by_name(name).ok_or_else(|| format!("unknown application {name}; try `gtpin list`"))
@@ -254,7 +260,7 @@ fn parse_journal_flags(args: &[String]) -> Result<(Option<PathBuf>, bool), GtPin
 }
 
 fn cmd_run(args: &[String], run_config: &RunConfig) -> CliResult {
-    let spec = parse_app(args)?;
+    let spec = parse_app(args, &["--scale", "--json"])?;
     let scale = parse_scale(args, Scale::Default)?;
     let config = RewriteConfig {
         count_basic_blocks: true,
@@ -289,7 +295,7 @@ fn cmd_run(args: &[String], run_config: &RunConfig) -> CliResult {
 }
 
 fn cmd_select(args: &[String], config: &RunConfig) -> CliResult {
-    let spec = parse_app(args)?;
+    let spec = parse_app(args, &["--scale"])?;
     let threshold: f64 = positional_args(args, &["--scale"])
         .get(1)
         .map(|s| s.parse())
@@ -314,7 +320,7 @@ fn cmd_select(args: &[String], config: &RunConfig) -> CliResult {
 /// session; stdout is bit-identical at every count, which is exactly
 /// what the `scripts/check.sh` serial-vs-sharded gate diffs.
 fn cmd_sim(args: &[String], config: &RunConfig) -> CliResult {
-    let spec = parse_app(args)?;
+    let spec = parse_app(args, &["--scale", "--launches"])?;
     // Detailed simulation is the slow path by design; default to the
     // test scale so the gate stays cheap.
     let scale = parse_scale(args, Scale::Test)?;
@@ -428,7 +434,7 @@ fn cmd_explore(args: &[String], config: &RunConfig) -> CliResult {
 }
 
 fn cmd_disasm(args: &[String]) -> CliResult {
-    let spec = parse_app(args)?;
+    let spec = parse_app(args, &[])?;
     let index: usize = args.get(1).map(|s| s.parse()).transpose()?.unwrap_or(0);
     let program = build_program(&spec, Scale::Test);
     let mut gpu = Gpu::new(GpuConfig::hd4000());
@@ -449,7 +455,7 @@ fn cmd_lint(args: &[String]) -> CliResult {
         if args.first().map(String::as_str) == Some("--all") {
             all_specs()
         } else {
-            vec![parse_app(args)?]
+            vec![parse_app(args, &["--json"])?]
         };
 
     let mut all_diags = Vec::new();
@@ -517,7 +523,7 @@ fn cmd_analyze(args: &[String], config: &RunConfig) -> CliResult {
         if args.first().map(String::as_str) == Some("--all") {
             all_specs()
         } else {
-            vec![parse_app(args)?]
+            vec![parse_app(args, &["--json"])?]
         };
     let params = GpuGeneration::IvyBridgeHd4000.topology().cost_params();
 

@@ -1,7 +1,8 @@
 //! The `gtpin` command line, run as a process: a run budget set by
 //! knob ends in a partial report and `error[budget]`, a malformed or
-//! unknown `GTPIN_*` variable is a usage error before any work, and
-//! `select` takes its scale by name.
+//! unknown `GTPIN_*` variable is a usage error before any work,
+//! `select` takes its scale by name, and a flag may come before the
+//! app it qualifies.
 
 use std::ffi::OsStr;
 use std::os::unix::ffi::OsStrExt;
@@ -82,4 +83,32 @@ fn select_refuses_an_unknown_scale_by_name() {
     assert!(out.stdout.is_empty());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown scale huge"), "{stderr}");
+}
+
+/// `gtpin <cmd> --scale test <app>` prints what `gtpin <cmd> <app>
+/// --scale test` prints: the app is the first positional argument,
+/// not the first argument.
+fn scale_may_precede_the_app(cmd: &str) {
+    let app = "sandra-crypt-aes128";
+    let after = gtpin(&[cmd, app, "--scale", "test"], &[]);
+    let before = gtpin(&[cmd, "--scale", "test", app], &[]);
+    for out in [&after, &before] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+    }
+    assert!(!after.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&before.stdout),
+        String::from_utf8_lossy(&after.stdout)
+    );
+}
+
+#[test]
+fn select_takes_its_scale_before_the_app() {
+    scale_may_precede_the_app("select");
+}
+
+#[test]
+fn sim_takes_its_scale_before_the_app() {
+    scale_may_precede_the_app("sim");
 }
